@@ -3,7 +3,10 @@
 Vertices carry 1-based labels.  A set of vertices is represented as an int
 bitmask in which bit v-1 stands for vertex v; all set arithmetic downstream
 (unions, complements, floods) is plain integer bit twiddling.  The vertex
-count is capped at 64 so exhaustive subset scans stay feasible.
+count is capped at 64.  Chordless odd cycles are enumerated in time that
+scales with the number of chordless paths, but fundamental-set enumeration
+(facets.py) is still exponential in the independence number, so some graphs
+under the cap remain slow.
 """
 
 from __future__ import annotations
@@ -406,42 +409,43 @@ def neighborhood(g: Graph, t: VertexSet) -> VertexSet:
 def chordless_odd_cycles(g: Graph) -> list[Cycle]:
     """All chordless odd cycles, canonical and sorted lexicographically.
 
-    A vertex subset is a chordless cycle exactly when it induces a connected
-    2-regular subgraph, so this scans every subset; exponential in d, meant
-    for small graphs.
+    Each cycle is found as a chordless path grown one vertex at a time from
+    its smallest vertex s, so the cost scales with the number of chordless
+    paths rather than with the 2^d vertex subsets.  The path closes at a
+    neighbor of s larger than its second vertex, which yields every cycle
+    exactly once and already in canonical form.
     """
     out = []
     adj = g.adj
-    for mask in range(1, 1 << g.d):
-        k = mask.bit_count()
-        if k < 3 or k & 1 == 0:
-            continue
-        m = mask
-        regular = True
+    for s in range(1, g.d + 1):
+        above = -1 << s  # vertices larger than s
+        ns = adj[s - 1] & above
+        m = ns
         while m:
             low = m & -m
-            if (adj[low.bit_length() - 1] & mask).bit_count() != 2:
-                regular = False
-                break
             m ^= low
-        if regular and connected_within(g, mask):
-            out.append(_cycle_order(g, mask))
+            v1 = low.bit_length()
+            close = ns & ~((low << 1) - 1)  # neighbors of s larger than v1
+            # barred: s, the path, and every neighbor of an interior vertex
+            stack = [((s, v1), v1, 1 << (s - 1) | low)]
+            while stack:
+                path, end, barred = stack.pop()
+                cand = adj[end - 1] & above & ~barred
+                if len(path) & 1 == 0:
+                    c = cand & close
+                    while c:
+                        w = c & -c
+                        c ^= w
+                        out.append(path + (w.bit_length(),))
+                ext = cand & ~ns
+                barred |= adj[end - 1]
+                while ext:
+                    w = ext & -ext
+                    ext ^= w
+                    v = w.bit_length()
+                    stack.append((path + (v,), v, barred))
     out.sort()
     return out
-
-
-def _cycle_order(g: Graph, mask: VertexSet) -> Cycle:
-    # walk a subset known to induce a single cycle, starting at its smallest
-    # vertex toward the smaller neighbor; this lands on the canonical form
-    start = (mask & -mask).bit_length()
-    nb = g.adj[start - 1] & mask
-    seq = [start]
-    prev, cur = start, (nb & -nb).bit_length()
-    while cur != start:
-        seq.append(cur)
-        nxt = g.adj[cur - 1] & mask & ~(1 << (prev - 1))
-        prev, cur = cur, (nxt & -nxt).bit_length()
-    return tuple(seq)
 
 
 # ---------------------------------------------------------------------------

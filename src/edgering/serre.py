@@ -42,10 +42,10 @@ def satisfies_odd_cycle_condition(g: Graph) -> tuple[Cycle, Cycle] | None:
     cycles = chordless_odd_cycles(g)
     masks = [vset(c) for c in cycles]
     for a in range(len(cycles)):
+        # b is disjoint from a and unjoined to it iff b misses a and N(a)
+        closed = masks[a] | neighborhood(g, masks[a])
         for b in range(a + 1, len(cycles)):
-            if masks[a] & masks[b]:
-                continue
-            if not neighborhood(g, masks[a]) & masks[b]:
+            if not closed & masks[b]:
                 return (cycles[a], cycles[b])
     return None
 

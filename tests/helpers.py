@@ -13,7 +13,7 @@ import random
 import networkx as nx
 from hypothesis import strategies as st
 
-from edgering import Graph, members, vset
+from edgering import Graph, connected_within, members, vset
 
 
 def nx_graph(g: Graph) -> nx.Graph:
@@ -91,6 +91,47 @@ def brute_chordless_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
                 out.append(tuple(seq))
     out.sort()
     return out
+
+
+def subset_scan_chordless_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Chordless odd cycles by testing every vertex subset, on bitmasks.
+
+    A vertex subset is a chordless cycle exactly when it induces a connected
+    2-regular subgraph.  Exponential in d; the reference the path-growing
+    enumerator is compared against.
+    """
+    out = []
+    adj = g.adj
+    for mask in range(1, 1 << g.d):
+        k = mask.bit_count()
+        if k < 3 or k & 1 == 0:
+            continue
+        m = mask
+        regular = True
+        while m:
+            low = m & -m
+            if (adj[low.bit_length() - 1] & mask).bit_count() != 2:
+                regular = False
+                break
+            m ^= low
+        if regular and connected_within(g, mask):
+            out.append(_cycle_order(g, mask))
+    out.sort()
+    return out
+
+
+def _cycle_order(g: Graph, mask: int) -> tuple[int, ...]:
+    # walk a subset known to induce a single cycle, starting at its smallest
+    # vertex toward the smaller neighbor; this lands on the canonical form
+    start = (mask & -mask).bit_length()
+    nb = g.adj[start - 1] & mask
+    seq = [start]
+    prev, cur = start, (nb & -nb).bit_length()
+    while cur != start:
+        seq.append(cur)
+        nxt = g.adj[cur - 1] & mask & ~(1 << (prev - 1))
+        prev, cur = cur, (nxt & -nxt).bit_length()
+    return tuple(seq)
 
 
 def brute_r1(g: Graph) -> tuple[bool, list]:

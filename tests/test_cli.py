@@ -5,6 +5,8 @@ import pytest
 from edgering import Graph, bridge_graph, classify, serialize_edge_list, serialize_graph6
 from edgering.cli import main, report_from_dict, report_to_dict
 
+from conftest import DATA_DIR
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -99,6 +101,17 @@ def test_classify_output_is_deterministic(tmp_path, capsys):
         _, stdout, _ = run_cli(capsys, "classify", str(path), "--json")
         outs.add(stdout)
     assert len(outs) == 1
+
+
+def test_classify_json_pinned_on_random_graphs(capsys, monkeypatch):
+    # seeded G(d, 0.3) for d = 18, 20, 22 (helpers.random_connected_nonbipartite
+    # with random.Random(d)); expected output recorded from the subset-scan OCC
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO((DATA_DIR / "gnp_d18_20_22.g6").read_text()))
+    code, stdout, _ = run_cli(capsys, "classify", "-", "--format", "graph6", "--json")
+    assert code == 0
+    assert stdout == (DATA_DIR / "gnp_d18_20_22.classify.jsonl").read_text()
 
 
 def test_classify_graph6_input(tmp_path, capsys, bridge2):

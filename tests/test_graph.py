@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import networkx as nx
@@ -32,7 +33,13 @@ from edgering import (
     spanning_tree_edges,
     vset,
 )
-from helpers import brute_chordless_odd_cycles, graphs, nx_graph, random_graph
+from helpers import (
+    brute_chordless_odd_cycles,
+    graphs,
+    nx_graph,
+    random_graph,
+    subset_scan_chordless_odd_cycles,
+)
 
 from conftest import BRIDGE2_EDGES
 
@@ -328,6 +335,30 @@ def test_chordless_odd_cycles_known():
 @settings(max_examples=60)
 def test_chordless_odd_cycles_match_brute_force(g):
     assert chordless_odd_cycles(g) == brute_chordless_odd_cycles(g)
+
+
+def test_chordless_odd_cycles_match_subset_scan_on_all_small_graphs():
+    for d in range(1, 6):
+        for g in labelled_graphs(d):
+            assert chordless_odd_cycles(g) == subset_scan_chordless_odd_cycles(g), g
+
+
+@pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 0.8])
+@pytest.mark.parametrize("d", range(8, 17))
+def test_chordless_odd_cycles_match_subset_scan_on_random_graphs(d, p):
+    rng = random.Random(f"gnp-{d}-{p}")
+    g = random_graph(rng, d, p)
+    assert chordless_odd_cycles(g) == subset_scan_chordless_odd_cycles(g)
+
+
+def test_chordless_odd_cycles_large_graphs():
+    # sizes far beyond what a scan over all 2^d vertex subsets could finish
+    assert chordless_odd_cycles(cycle_graph(63)) == [tuple(range(1, 64))]
+    assert chordless_odd_cycles(cycle_graph(64)) == []
+    assert chordless_odd_cycles(complete_bipartite_graph(32, 32)) == []
+    triangles = list(itertools.combinations(range(1, 13), 3))
+    assert chordless_odd_cycles(complete_graph(12)) == triangles
+    assert chordless_odd_cycles(bridge_graph(58)) == [(1, 2, 3), (4, 5, 6)]
 
 
 # ---------------------------------------------------------------------------
