@@ -12,6 +12,7 @@ from .facets import (
     RegularVertex,
     SupportForm,
     enumerate_fundamental_sets,
+    facet_forms,
     facet_sort_key,
     facets,
     is_fundamental,
@@ -54,10 +55,10 @@ from .graph import (
 )
 from .lattice import IntegerLattice, even_sum_lattice, xgcd
 from .oracle import (
-    check_lattice_match,
-    check_unit_value,
+    FacetCheck,
     edge_vector,
     facet_conditions,
+    failing_facets,
     monoid_group,
     oracle_r1,
     verify_decomposition,

@@ -15,14 +15,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .facets import (
-    FacetDescriptor,
-    Fundamental,
-    RegularVertex,
-    SupportForm,
-    _form_for,
-    facets,
-)
+from .facets import FacetDescriptor, Fundamental, RegularVertex, SupportForm, facet_forms
 from .graph import (
     Graph,
     ParseError,
@@ -36,7 +29,7 @@ from .graph import (
     serialize_edge_list,
     vset,
 )
-from .oracle import facet_conditions
+from .oracle import facet_conditions, failing_facets
 from .serre import ClassificationReport, classify, satisfies_r1
 from .sweep import run_sweep
 
@@ -188,31 +181,29 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_facets(args: argparse.Namespace) -> int:
     for input_id, g in _load_graphs(args.input, args.format):
-        fs = facets(g)
+        forms = facet_forms(g)
         if args.json:
-            entries = []
-            for f in fs:
-                entry = violation_to_dict(f)
-                form = _form_for(g, f)
-                entry["form"] = {"coeffs": list(form.coeffs), "denom": form.denom}
-                entries.append(entry)
+            entries = [
+                dict(violation_to_dict(f), form={"coeffs": list(form.coeffs), "denom": form.denom})
+                for f, form in forms
+            ]
             print(json.dumps(
                 {"input": input_id, "d": g.d, "n": g.n, "facets": entries},
                 sort_keys=True,
             ))
         else:
             print(f"input: {input_id}")
-            print(f"facets: {len(fs)}")
-            for f in fs:
-                print(f"  {_facet_label(f)}: {_form_str(_form_for(g, f))} >= 0")
+            print(f"facets: {len(forms)}")
+            for f, form in forms:
+                print(f"  {_facet_label(f)}: {_form_str(form)} >= 0")
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     status = EXIT_OK
     for input_id, g in _load_graphs(args.input, args.format):
-        conditions = facet_conditions(g)
-        oracle_violations = [f for f, unit, match in conditions if not (unit and match)]
+        checks = facet_conditions(g)
+        oracle_violations = failing_facets(checks)
         oracle_verdict = not oracle_violations
         verdict, violations = satisfies_r1(g)
         agree = verdict == oracle_verdict and violations == oracle_violations
@@ -222,8 +213,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 "d": g.d,
                 "n": g.n,
                 "facets": [
-                    dict(violation_to_dict(f), unit_value=unit, lattice_match=match)
-                    for f, unit, match in conditions
+                    dict(violation_to_dict(c.facet), unit_value=c.unit, lattice_match=c.match)
+                    for c in checks
                 ],
                 "r1_lattice": oracle_verdict,
                 "r1_connectivity": verdict,
@@ -231,11 +222,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             }, sort_keys=True))
         else:
             print(f"input: {input_id}")
-            for f, unit, match in conditions:
+            for c in checks:
                 print(
-                    f"  {_facet_label(f)}: unit-value "
-                    f"{'pass' if unit else 'FAIL'}, lattice-match "
-                    f"{'pass' if match else 'FAIL'}"
+                    f"  {_facet_label(c.facet)}: unit-value "
+                    f"{'pass' if c.unit else 'FAIL'}, lattice-match "
+                    f"{'pass' if c.match else 'FAIL'}"
                 )
             print(f"R1 (lattice): {_bool(oracle_verdict)}")
             print(f"R1 (connectivity): {_bool(verdict)}")

@@ -168,23 +168,16 @@ def enumerate_fundamental_sets(g: Graph) -> list[VertexSet]:
 
 def _form_for(g: Graph, f: FacetDescriptor) -> SupportForm:
     # no validation; callers pass descriptors already known to be facets
+    coeffs = [0] * g.d
     if isinstance(f, RegularVertex):
-        coeffs = [0] * g.d
         coeffs[f.vertex - 1] = 1
         return SupportForm(tuple(coeffs), 1)
     t = f.mask
     nb = neighborhood(g, t)
-    coeffs = [0] * g.d
-    m = nb
-    while m:
-        low = m & -m
-        coeffs[low.bit_length() - 1] = 1
-        m ^= low
-    m = t
-    while m:
-        low = m & -m
-        coeffs[low.bit_length() - 1] = -1
-        m ^= low
+    for v in members(nb):
+        coeffs[v - 1] = 1
+    for v in members(t):
+        coeffs[v - 1] = -1
     return SupportForm(tuple(coeffs), 2 if (t | nb) == g.full else 1)
 
 
@@ -213,3 +206,8 @@ def facets(g: Graph) -> list[FacetDescriptor]:
     out: list[FacetDescriptor] = [RegularVertex(v) for v in regular_vertices(g)]
     out += [Fundamental(t) for t in iter_fundamental_sets(g)]
     return out
+
+
+def facet_forms(g: Graph) -> list[tuple[FacetDescriptor, SupportForm]]:
+    """Every facet descriptor with its supporting form, in facets() order."""
+    return [(f, _form_for(g, f)) for f in facets(g)]

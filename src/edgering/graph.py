@@ -453,8 +453,7 @@ def chordless_odd_cycles(g: Graph) -> list[Cycle]:
 
 def spanning_tree_edges(g: Graph) -> tuple[Edge, ...]:
     """Edges of a BFS spanning tree from vertex 1 (graph must be connected)."""
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
+    require_connected(g)
     seen = 1
     queue = deque([1])
     tree = []

@@ -8,6 +8,10 @@ ring is regular in codimension one exactly when two exact conditions hold:
 2. the edge vectors on which the form vanishes generate, as a lattice, the
    full kernel of the form inside the group generated by all edge vectors.
 
+:func:`facet_conditions` evaluates both once per facet into
+:class:`FacetCheck` records, which the verdict and the structural checks
+:func:`verify_facet_rank` and :func:`verify_decomposition` then read.
+
 Everything is checked with exact integer arithmetic; any half-integral
 value where an integer is forced is reported as an internal error rather
 than rounded.
@@ -16,26 +20,22 @@ than rounded.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from typing import Sequence
 
-from .facets import (
-    FacetDescriptor,
-    Fundamental,
-    SupportForm,
-    _form_for,
-    facets,
-    is_fundamental,
-    support_form,
-)
+from .facets import FacetDescriptor, Fundamental, SupportForm, facet_forms
+# not called here; bench/tracer.py wraps oracle.support_form by that name
+from .facets import support_form  # noqa: F401
 from .graph import (
     Edge,
     Graph,
     VertexSet,
     connected_components,
     is_bipartite,
-    is_connected,
     members,
     neighborhood,
     odd_cycle_witness,
+    require_connected,
     spanning_tree_edges,
 )
 from .lattice import IntegerLattice, IntVec, even_sum_lattice
@@ -60,8 +60,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     This is the even-coordinate-sum lattice; that identity is recomputed
     here and a mismatch raises, since downstream kernels rely on it.
     """
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
+    require_connected(g)
     if is_bipartite(g):
         raise ValueError("graph is bipartite; its edge vectors span a proper sublattice")
     lat = IntegerLattice(g.d, (edge_vector(e, g.d) for e in g.edges))
@@ -99,68 +98,70 @@ def verify_even_sum_basis(g: Graph) -> bool:
     return lat.rank == g.d and lat == even_sum_lattice(g.d)
 
 
-def _edge_numerators(g: Graph, form: SupportForm) -> list[int]:
+def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
     # integer values of denom * form on each edge vector, in edge order;
     # for a halved form every numerator must come out even (integrality of
-    # the normalized form on the monoid), else the form is wrong
+    # the normalized form on the monoid), else the form is wrong.  Built from
+    # a list: tuple() of a generator resizes, which fills the tuple free lists
     c = form.coeffs
-    nums = [c[i - 1] + c[j - 1] for i, j in g.edges]
+    nums = tuple([c[i - 1] + c[j - 1] for i, j in g.edges])
     if form.denom == 2 and any(v & 1 for v in nums):
         raise RuntimeError("half-integral support value on an edge vector; internal error")
     return nums
 
 
-def check_unit_value(g: Graph, f: FacetDescriptor) -> bool:
-    """Condition 1: some edge vector has normalized support value exactly 1."""
-    form = support_form(g, f)
-    nums = _edge_numerators(g, form)
-    return form.denom in nums
+def _zero_vectors(g: Graph, values: Sequence[int]) -> list[IntVec]:
+    # the edge vectors on which the form vanishes, in edge order
+    return [edge_vector(e, g.d) for e, v in zip(g.edges, values) if v == 0]
 
 
-def check_lattice_match(g: Graph, f: FacetDescriptor) -> bool:
-    """Condition 2: zero-valued edge vectors generate the form's kernel
-    inside the full edge-vector group.
+@dataclass(frozen=True)
+class FacetCheck:
+    """The oracle's data on one facet.
+
+    values holds denom * form on each edge vector, in edge order; zero is
+    the lattice generated by the zero-valued edge vectors; unit and match
+    are conditions 1 and 2.
     """
-    form = support_form(g, f)
-    nums = _edge_numerators(g, form)
-    zero = [edge_vector(e, g.d) for e, v in zip(g.edges, nums) if v == 0]
-    facet_lattice = IntegerLattice(g.d, zero)
-    return facet_lattice == monoid_group(g).kernel_of_form(form.coeffs)
+
+    facet: FacetDescriptor
+    values: tuple[int, ...]
+    zero: IntegerLattice
+    unit: bool
+    match: bool
 
 
-def facet_conditions(g: Graph) -> list[tuple[FacetDescriptor, bool, bool]]:
-    """Both conditions for every facet, in facet order."""
-    fs = facets(g)
+def facet_conditions(g: Graph) -> list[FacetCheck]:
+    """Both conditions for every facet, one record per facet in facet order."""
+    forms = facet_forms(g)  # first, so that bad input gets the facet error message
     group = monoid_group(g)
     out = []
-    for f in fs:
-        form = _form_for(g, f)
-        nums = _edge_numerators(g, form)
-        unit = form.denom in nums
-        zero = [edge_vector(e, g.d) for e, v in zip(g.edges, nums) if v == 0]
-        match = IntegerLattice(g.d, zero) == group.kernel_of_form(form.coeffs)
-        out.append((f, unit, match))
+    for f, form in forms:
+        values = _edge_numerators(g, form)
+        zero = IntegerLattice(g.d, _zero_vectors(g, values))
+        match = zero == group.kernel_of_form(form.coeffs)
+        out.append(FacetCheck(f, values, zero, form.denom in values, match))
     return out
+
+
+def failing_facets(checks: Sequence[FacetCheck]) -> list[FacetDescriptor]:
+    """The facets of the records that miss either condition, in order."""
+    return [c.facet for c in checks if not (c.unit and c.match)]
 
 
 def oracle_r1(g: Graph) -> tuple[bool, list[FacetDescriptor]]:
     """(R1) verdict by the lattice route, with the failing facets."""
-    conditions = facet_conditions(g)
-    violations = [f for f, unit, match in conditions if not (unit and match)]
+    violations = failing_facets(facet_conditions(g))
     return (not violations, violations)
 
 
-def verify_facet_rank(g: Graph, f: FacetDescriptor) -> bool:
+def verify_facet_rank(g: Graph, check: FacetCheck) -> bool:
     """Sanity check that a supporting form really cuts out a facet: it is
     nonnegative on every edge vector, vanishes on some, and its zero set
     spans an affine sublattice of rank d - 2.
     """
-    form = support_form(g, f)
-    nums = _edge_numerators(g, form)
-    if any(v < 0 for v in nums):
-        return False
-    zero = [edge_vector(e, g.d) for e, v in zip(g.edges, nums) if v == 0]
-    if not zero:
+    zero = _zero_vectors(g, check.values)
+    if not zero or any(v < 0 for v in check.values):
         return False
     base = zero[0]
     diffs = [[a - b for a, b in zip(vec, base)] for vec in zero[1:]]
@@ -188,33 +189,21 @@ def _bipartite_tree_edges(g: Graph, t: VertexSet, nb: VertexSet) -> list[Edge]:
     return tree
 
 
-def verify_decomposition(g: Graph, t: VertexSet) -> bool:
+def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     """Structural identity behind condition 2 at a fundamental set T.
 
-    The zero-valued edge vectors must generate the same lattice as the
-    even-sum lattices of the components away from T and N(T), embedded
-    coordinatewise, together with the edge vectors of a spanning tree of
-    the T-to-N(T) bipartite subgraph.
+    The zero-valued edge vectors (the record's zero lattice) must generate
+    the same lattice as the even-sum lattices of the components away from
+    T and N(T), embedded coordinatewise, together with the edge vectors of
+    a spanning tree of the T-to-N(T) bipartite subgraph.
     """
-    if not is_fundamental(g, t):
+    if not isinstance(check.facet, Fundamental):
         raise ValueError("not a fundamental set")
-    form = support_form(g, Fundamental(t))
-    nums = _edge_numerators(g, form)
-    zero = [edge_vector(e, g.d) for e, v in zip(g.edges, nums) if v == 0]
-    left = IntegerLattice(g.d, zero)
-
+    t = check.facet.mask
     nb = neighborhood(g, t)
-    gens: list[list[int]] = []
+    gens: list[Sequence[int]] = [edge_vector(e, g.d) for e in _bipartite_tree_edges(g, t, nb)]
     for comp in connected_components(g, g.full & ~(t | nb)):
         vs = members(comp)
-        for a, b in zip(vs, vs[1:]):
-            vec = [0] * g.d
-            vec[a - 1] = 1
-            vec[b - 1] = 1
-            gens.append(vec)
-        vec = [0] * g.d
-        vec[vs[-1] - 1] = 2
-        gens.append(vec)
-    for e in _bipartite_tree_edges(g, t, nb):
-        gens.append(list(edge_vector(e, g.d)))
-    return left == IntegerLattice(g.d, gens)
+        gens += [edge_vector(pair, g.d) for pair in zip(vs, vs[1:])]
+        gens.append([2 if v == vs[-1] else 0 for v in range(1, g.d + 1)])
+    return check.zero == IntegerLattice(g.d, gens)

@@ -26,6 +26,7 @@ from .facets import (
 from .graph import (
     Cycle,
     Graph,
+    VertexSet,
     chordless_odd_cycles,
     connected_within,
     is_bipartite,
@@ -50,12 +51,20 @@ def satisfies_odd_cycle_condition(g: Graph) -> tuple[Cycle, Cycle] | None:
     return None
 
 
+def _vertex_condition(g: Graph, v: int) -> bool:
+    return connected_within(g, g.full & ~(1 << (v - 1)))
+
+
+def _set_condition(g: Graph, t: VertexSet) -> bool:
+    tn = t | neighborhood(g, t)
+    return tn == g.full or connected_within(g, g.full & ~tn)
+
+
 def facet_connectivity_holds(g: Graph, f: FacetDescriptor) -> bool:
     """The per-facet connectivity condition of the (R1) criterion."""
     if isinstance(f, RegularVertex):
-        return connected_within(g, g.full & ~(1 << (f.vertex - 1)))
-    tn = f.mask | neighborhood(g, f.mask)
-    return tn == g.full or connected_within(g, g.full & ~tn)
+        return _vertex_condition(g, f.vertex)
+    return _set_condition(g, f.mask)
 
 
 def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[FacetDescriptor]]:
@@ -71,13 +80,12 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
         return (True, [])
     violations: list[FacetDescriptor] = []
     for v in regular_vertices(g):
-        if not connected_within(g, g.full & ~(1 << (v - 1))):
+        if not _vertex_condition(g, v):
             violations.append(RegularVertex(v))
             if early_exit:
                 return (False, violations)
     for t in iter_fundamental_sets(g):
-        tn = t | neighborhood(g, t)
-        if tn != g.full and not connected_within(g, g.full & ~tn):
+        if not _set_condition(g, t):
             violations.append(Fundamental(t))
             if early_exit:
                 return (False, violations)

@@ -8,13 +8,14 @@ names the graph (graph6) and the invariant that broke.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .facets import Fundamental
 from .graph import Graph, is_bipartite, is_connected, labelled_graphs, serialize_graph6
 from .oracle import (
     facet_conditions,
+    failing_facets,
     monoid_group,
     verify_decomposition,
     verify_even_sum_basis,
@@ -39,9 +40,10 @@ def cross_check(g: Graph) -> CrossCheck:
     """Run every cross-validation invariant on one connected nonbipartite graph.
 
     Failure tags:
+      monoid-group            edge-vector group is not the even-sum lattice;
+                              the invariants that need that group are skipped
       verdict-mismatch        criterion and oracle disagree on (R1)
       violation-mismatch      they agree but name different facets
-      monoid-group            edge-vector group is not the even-sum lattice
       basis-construction      odd-cycle spanning-tree basis check failed
       unit-value              some facet misses a value-1 edge vector
       lattice-vs-connectivity condition 2 differs from the connectivity test
@@ -50,38 +52,33 @@ def cross_check(g: Graph) -> CrossCheck:
       facet-support           a support form is not a facet form
     """
     fails: list[str] = []
-    t_ok, t_viols = satisfies_r1(g)
-    conditions = facet_conditions(g)
-    o_viols = [f for f, unit, match in conditions if not (unit and match)]
-    if t_ok != (not o_viols):
-        fails.append("verdict-mismatch")
-    if t_viols != o_viols:
-        fails.append("violation-mismatch")
     try:
         group = monoid_group(g)
-        if not (group.rank == g.d and group.determinant() == 2):
-            fails.append("monoid-group")
+        group_ok = group.rank == g.d and group.determinant() == 2
     except RuntimeError:
+        group_ok = False
+    if not group_ok:
         fails.append("monoid-group")
+    t_ok, t_viols = satisfies_r1(g)
+    checks = facet_conditions(g) if group_ok else []
+    o_viols = failing_facets(checks)
+    if group_ok and t_ok != (not o_viols):
+        fails.append("verdict-mismatch")
+    if group_ok and t_viols != o_viols:
+        fails.append("violation-mismatch")
     if not verify_even_sum_basis(g):
         fails.append("basis-construction")
-    if not all(unit for _, unit, _ in conditions):
+    if not all(c.unit for c in checks):
         fails.append("unit-value")
-    for f, _, match in conditions:
-        if match != facet_connectivity_holds(g, f):
-            fails.append("lattice-vs-connectivity")
-            break
-    for f, _, _ in conditions:
-        if isinstance(f, Fundamental) and not verify_decomposition(g, f.mask):
-            fails.append("decomposition")
-            break
+    if any(c.match != facet_connectivity_holds(g, c.facet) for c in checks):
+        fails.append("lattice-vs-connectivity")
+    if any(isinstance(c.facet, Fundamental) and not verify_decomposition(g, c) for c in checks):
+        fails.append("decomposition")
     occ = satisfies_odd_cycle_condition(g)
     if occ is None and not t_ok:
         fails.append("occ-implies-r1")
-    for f, _, _ in conditions:
-        if not verify_facet_rank(g, f):
-            fails.append("facet-support")
-            break
+    if not all(verify_facet_rank(g, c) for c in checks):
+        fails.append("facet-support")
     return CrossCheck(
         graph6=serialize_graph6(g),
         d=g.d,
@@ -105,11 +102,7 @@ class SweepSummary:
     checked: int = 0
     normal: int = 0
     r1: int = 0
-    disagreements: list[CrossCheck] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.disagreements is None:
-            self.disagreements = []
+    disagreements: list[CrossCheck] = field(default_factory=list)
 
 
 def run_sweep(graphs: Iterable[Graph]) -> SweepSummary:

@@ -232,6 +232,18 @@ def test_oracle_json(tmp_path, capsys):
     assert all(f["unit_value"] and f["lattice_match"] for f in payload["facets"])
 
 
+@pytest.mark.parametrize("command", ["facets", "oracle"])
+def test_json_pinned_on_conn7_sample(capsys, monkeypatch, command):
+    # conn7 graphs 1-10 and 301-310 (the latter fail (R1)); expected output
+    # recorded before facet data moved into one record per facet
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO((DATA_DIR / "conn7_sample.g6").read_text()))
+    code, stdout, _ = run_cli(capsys, command, "-", "--format", "graph6", "--json")
+    assert code == 0
+    assert stdout == (DATA_DIR / f"conn7_sample.{command}.jsonl").read_text()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 

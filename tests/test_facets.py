@@ -12,6 +12,7 @@ from edgering import (
     complete_graph,
     cycle_graph,
     enumerate_fundamental_sets,
+    facet_forms,
     facet_sort_key,
     facets,
     is_fundamental,
@@ -207,3 +208,16 @@ def test_facet_forms_support_the_generators(g):
         assert all(v >= 0 for v in values)
         assert any(v == 0 for v in values)
         assert any(v == 1 for v in values)
+
+
+@given(connected_nonbipartite_graphs(max_d=6))
+@settings(max_examples=30)
+def test_facet_forms_pair_facets_with_validated_forms(g):
+    pairs = facet_forms(g)
+    assert [f for f, _ in pairs] == facets(g)
+    assert all(form == support_form(g, f) for f, form in pairs)
+
+
+def test_facet_forms_rejects_like_facets():
+    with pytest.raises(ValueError, match="bipartite"):
+        facet_forms(cycle_graph(4))

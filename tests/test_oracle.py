@@ -1,23 +1,23 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from edgering import (
+    FacetCheck,
     Fundamental,
     Graph,
     IntegerLattice,
     RegularVertex,
     bridge_graph,
-    check_lattice_match,
-    check_unit_value,
     complete_graph,
     cycle_graph,
     edge_vector,
     even_sum_lattice,
     facet_conditions,
     facets,
-    iter_fundamental_sets,
+    failing_facets,
     monoid_group,
     oracle_r1,
     satisfies_r1,
@@ -28,6 +28,12 @@ from edgering import (
     vset,
 )
 from helpers import connected_nonbipartite_graphs, random_connected_nonbipartite
+
+
+def check_for(g, f) -> FacetCheck:
+    """The facet_conditions record of one facet."""
+    (check,) = [c for c in facet_conditions(g) if c.facet == f]
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +74,17 @@ def test_verify_even_sum_basis(bridge2):
 # the two facet conditions
 
 def test_unit_value_on_exhibits(bridge2, bridge1):
-    assert check_unit_value(bridge2, RegularVertex(7))
-    assert check_unit_value(bridge2, Fundamental(vset([1])))
-    assert check_unit_value(complete_graph(3), Fundamental(vset([1])))
-    assert check_unit_value(bridge1, RegularVertex(7))
+    assert check_for(bridge2, RegularVertex(7)).unit
+    assert check_for(bridge2, Fundamental(vset([1]))).unit
+    assert check_for(complete_graph(3), Fundamental(vset([1]))).unit
+    assert check_for(bridge1, RegularVertex(7)).unit
 
 
 def test_lattice_match_on_exhibits(bridge2, bridge1):
-    assert check_lattice_match(bridge2, RegularVertex(7))
-    assert check_lattice_match(bridge2, Fundamental(vset([3, 4])))
-    assert check_lattice_match(complete_graph(3), Fundamental(vset([1])))
-    assert not check_lattice_match(bridge1, RegularVertex(7))
+    assert check_for(bridge2, RegularVertex(7)).match
+    assert check_for(bridge2, Fundamental(vset([3, 4]))).match
+    assert check_for(complete_graph(3), Fundamental(vset([1]))).match
+    assert not check_for(bridge1, RegularVertex(7)).match
 
 
 def test_lattice_match_bridge1_witness(bridge1):
@@ -89,6 +95,7 @@ def test_lattice_match_bridge1_witness(bridge1):
     form = support_form(bridge1, RegularVertex(7))
     zero = [edge_vector(e, 7) for e in bridge1.edges if form.value(edge_vector(e, 7)) == 0]
     facet_lattice = IntegerLattice(7, zero)
+    assert check_for(bridge1, RegularVertex(7)).zero == facet_lattice
     kernel = monoid_group(bridge1).kernel_of_form(form.coeffs)
     witness = (1, 1, 1, 1, 1, 1, 0)
     assert witness in kernel
@@ -96,18 +103,41 @@ def test_lattice_match_bridge1_witness(bridge1):
 
 
 def test_facet_conditions_bridge2(bridge2):
-    conditions = facet_conditions(bridge2)
-    assert len(conditions) == 17
-    assert [f for f, _, _ in conditions] == facets(bridge2)
-    assert all(unit and match for _, unit, match in conditions)
+    checks = facet_conditions(bridge2)
+    assert len(checks) == 17
+    assert [c.facet for c in checks] == facets(bridge2)
+    assert all(c.unit and c.match for c in checks)
+    assert failing_facets(checks) == []
 
 
 def test_facet_conditions_bridge1(bridge1):
-    conditions = facet_conditions(bridge1)
-    failing = [f for f, unit, match in conditions if not (unit and match)]
-    assert failing == [RegularVertex(7)]
-    by_facet = {f: (unit, match) for f, unit, match in conditions}
+    checks = facet_conditions(bridge1)
+    assert failing_facets(checks) == [RegularVertex(7)]
+    by_facet = {c.facet: (c.unit, c.match) for c in checks}
     assert by_facet[RegularVertex(7)] == (True, False)
+
+
+@given(connected_nonbipartite_graphs(max_d=5))
+@settings(max_examples=25, deadline=None)
+def test_facet_check_records_match_their_forms(g):
+    # values are denom * form on each edge vector, zero is the lattice of the
+    # zero-valued edge vectors, and unit is condition 1, each recomputed here
+    # from the validated support_form
+    checks = facet_conditions(g)
+    assert [c.facet for c in checks] == facets(g)
+    for c in checks:
+        form = support_form(g, c.facet)
+        vectors = [edge_vector(e, g.d) for e in g.edges]
+        assert c.values == tuple(int(form.value(v) * form.denom) for v in vectors)
+        assert c.zero == IntegerLattice(g.d, [v for v in vectors if form.value(v) == 0])
+        assert c.unit == any(form.value(v) == 1 for v in vectors)
+    assert failing_facets(checks) == [c.facet for c in checks if not (c.unit and c.match)]
+
+
+def test_facet_check_is_frozen(bridge2):
+    check = facet_conditions(bridge2)[0]
+    with pytest.raises(AttributeError):
+        check.unit = False
 
 
 # ---------------------------------------------------------------------------
@@ -142,36 +172,49 @@ def test_oracle_matches_criterion_property(g):
 # structural verifications
 
 def test_verify_facet_rank(bridge2, bridge1):
-    assert verify_facet_rank(complete_graph(3), Fundamental(vset([1])))
-    assert verify_facet_rank(bridge2, RegularVertex(7))
-    assert verify_facet_rank(bridge2, Fundamental(vset([3, 4])))
-    assert verify_facet_rank(bridge1, RegularVertex(7))
+    assert verify_facet_rank(complete_graph(3), check_for(complete_graph(3), Fundamental(vset([1]))))
+    assert verify_facet_rank(bridge2, check_for(bridge2, RegularVertex(7)))
+    assert verify_facet_rank(bridge2, check_for(bridge2, Fundamental(vset([3, 4]))))
+    assert verify_facet_rank(bridge1, check_for(bridge1, RegularVertex(7)))
 
 
 def test_verify_facet_rank_all_facets(bridge2):
     for g in (complete_graph(3), cycle_graph(5), bridge2):
-        for f in facets(g):
-            assert verify_facet_rank(g, f)
+        for c in facet_conditions(g):
+            assert verify_facet_rank(g, c)
 
 
 def test_verify_decomposition(bridge2):
-    assert verify_decomposition(complete_graph(3), vset([1]))
-    assert verify_decomposition(bridge2, vset([1]))
-    assert verify_decomposition(bridge2, vset([3, 4]))
-    for t in iter_fundamental_sets(bridge2):
-        assert verify_decomposition(bridge2, t)
+    k3 = complete_graph(3)
+    assert verify_decomposition(k3, check_for(k3, Fundamental(vset([1]))))
+    assert verify_decomposition(bridge2, check_for(bridge2, Fundamental(vset([1]))))
+    assert verify_decomposition(bridge2, check_for(bridge2, Fundamental(vset([3, 4]))))
+    for c in facet_conditions(bridge2):
+        if isinstance(c.facet, Fundamental):
+            assert verify_decomposition(bridge2, c)
 
 
 def test_verify_decomposition_rejects_non_fundamental(bridge2):
     with pytest.raises(ValueError, match="fundamental"):
-        verify_decomposition(bridge2, vset([7, 8]))
+        verify_decomposition(bridge2, check_for(bridge2, RegularVertex(7)))
+
+
+def test_verify_checks_reject_wrong_records(bridge1):
+    # the structural checks compare against what the record carries, so a
+    # record with a foreign zero lattice or a negative value fails them
+    check = check_for(bridge1, Fundamental(vset([1])))
+    other = check_for(bridge1, Fundamental(vset([4])))
+    assert verify_decomposition(bridge1, check)
+    assert not verify_decomposition(bridge1, dataclasses.replace(check, zero=other.zero))
+    negative = dataclasses.replace(check, values=(-1,) + check.values[1:])
+    assert not verify_facet_rank(bridge1, negative)
 
 
 @given(connected_nonbipartite_graphs(max_d=5))
 @settings(max_examples=20, deadline=None)
 def test_structural_checks_hold_everywhere(g):
     assert verify_even_sum_basis(g)
-    for f in facets(g):
-        assert verify_facet_rank(g, f)
-    for t in iter_fundamental_sets(g):
-        assert verify_decomposition(g, t)
+    for c in facet_conditions(g):
+        assert verify_facet_rank(g, c)
+        if isinstance(c.facet, Fundamental):
+            assert verify_decomposition(g, c)

@@ -105,6 +105,14 @@ def test_facet_connectivity_holds(bridge2, bridge1):
     assert facet_connectivity_holds(bridge2, Fundamental(vset([3, 4])))
 
 
+@given(connected_nonbipartite_graphs(max_d=6))
+@settings(max_examples=30, deadline=None)
+def test_r1_violations_are_the_facets_failing_their_condition(g):
+    failing = [f for f in facets(g) if not facet_connectivity_holds(g, f)]
+    assert satisfies_r1(g) == (not failing, failing)
+    assert satisfies_r1(g, early_exit=True)[1] == failing[:1]
+
+
 # ---------------------------------------------------------------------------
 # classification reports
 

@@ -58,3 +58,24 @@ def test_run_sweep_counts_verdicts(bridge1):
     assert summary.normal == 0
     assert summary.r1 == 1
     assert summary.disagreements == []
+
+
+def test_monoid_group_failure_is_tagged_not_raised(monkeypatch, bridge1):
+    # a wrong even-sum lattice makes monoid_group raise; cross_check must tag
+    # the graph, skip the invariants that need the group, and still report
+    # normality and (R1) by the criterion
+    from edgering import IntegerLattice
+
+    monkeypatch.setattr(
+        "edgering.oracle.even_sum_lattice",
+        lambda d: IntegerLattice(d, [[2 if i == j else 0 for i in range(d)] for j in range(d)]),
+    )
+    g = bridge_graph(2)
+    result = cross_check(g)
+    assert "monoid-group" in result.failures
+    assert result.r1 and not result.normal
+    assert "verdict-mismatch" not in result.failures
+    summary = run_sweep([g, bridge1])
+    assert summary.checked == 2 and summary.r1 == 1
+    assert [cc.graph6 for cc in summary.disagreements] == [result.graph6, cross_check(bridge1).graph6]
+    assert all("monoid-group" in cc.failures for cc in summary.disagreements)
