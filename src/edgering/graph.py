@@ -3,10 +3,10 @@
 Vertices carry 1-based labels.  A set of vertices is represented as an int
 bitmask in which bit v-1 stands for vertex v; all set arithmetic downstream
 (unions, complements, floods) is plain integer bit twiddling.  The vertex
-count is capped at 64.  Chordless odd cycles are enumerated in time that
-scales with the number of chordless paths, but fundamental-set enumeration
-(facets.py) is still exponential in the independence number, so some graphs
-under the cap remain slow.
+count is capped at 64.  Chordless odd cycles and fundamental sets
+(facets.py) are enumerated in time that scales with the chordless paths and
+with the independent sets connected through shared neighbours; both counts
+can be exponential, so some graphs under the cap remain slow.
 """
 
 from __future__ import annotations
@@ -352,11 +352,31 @@ def is_bipartite(g: Graph) -> bool:
 def every_component_nonbipartite(g: Graph, within: VertexSet) -> bool:
     """True iff each connected piece of `within` contains an odd cycle.
 
-    An empty set passes vacuously.
+    An empty set passes vacuously.  A component has an odd cycle exactly
+    when walks of even and of odd length from one vertex meet.
     """
-    return all(
-        _odd_cycle_within(g, c) is not None for c in connected_components(g, within)
-    )
+    adj = g.adj
+    while within:
+        even = new_even = within & -within
+        odd = new_odd = 0
+        while new_even | new_odd:
+            to_even = to_odd = 0
+            while new_even:
+                low = new_even & -new_even
+                to_odd |= adj[low.bit_length() - 1]
+                new_even ^= low
+            while new_odd:
+                low = new_odd & -new_odd
+                to_even |= adj[low.bit_length() - 1]
+                new_odd ^= low
+            new_even = to_even & within & ~even
+            new_odd = to_odd & within & ~odd
+            even |= new_even
+            odd |= new_odd
+        if not even & odd:
+            return False
+        within &= ~even  # the whole component, as it is nonbipartite
+    return True
 
 
 def canonical_cycle(seq: Sequence[int]) -> Cycle:

@@ -13,7 +13,15 @@ import random
 import networkx as nx
 from hypothesis import strategies as st
 
-from edgering import Graph, connected_within, members, vset
+from edgering import (
+    Graph,
+    connected_components,
+    connected_within,
+    members,
+    neighborhood,
+    odd_cycle_witness,
+    vset,
+)
 
 
 def nx_graph(g: Graph) -> nx.Graph:
@@ -132,6 +140,59 @@ def _cycle_order(g: Graph, mask: int) -> tuple[int, ...]:
         nxt = g.adj[cur - 1] & mask & ~(1 << (prev - 1))
         prev, cur = cur, (nxt & -nxt).bit_length()
     return tuple(seq)
+
+
+def independent_set_scan_fundamental_sets(g: Graph) -> list[int]:
+    """Fundamental sets by testing every independent set, on bitmasks.
+
+    Walks the independent sets depth-first in label order, so the output is
+    in lexicographic order of the vertex tuples.  Exponential in the
+    independence number; the reference the common-neighbour-graph
+    enumerator is compared against.  The rest condition is checked through
+    odd_cycle_witness on each component, the definition that
+    every_component_nonbipartite replaces.
+    """
+    d = g.d
+
+    def extend(mask: int, start: int):
+        for v in range(start, d + 1):
+            if g.adj[v - 1] & mask:
+                continue
+            sub = mask | (1 << (v - 1))
+            yield sub
+            yield from extend(sub, v + 1)
+
+    out = []
+    for t in extend(0, 1):
+        nb = neighborhood(g, t)
+        rest = g.full & ~(t | nb)
+        if _bipartite_part_connected(g, t, nb) and all(
+            odd_cycle_witness(g, c) is not None for c in connected_components(g, rest)
+        ):
+            out.append(t)
+    return out
+
+
+def _bipartite_part_connected(g: Graph, t: int, nb: int) -> bool:
+    # connectivity of the graph on t | nb using only edges between t and nb
+    total = t | nb
+    start = t & -t
+    seen = start
+    frontier = start
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length()
+            if t >> (v - 1) & 1:
+                nxt |= g.adj[v - 1] & nb
+            else:
+                nxt |= g.adj[v - 1] & t
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == total
 
 
 def brute_r1(g: Graph) -> tuple[bool, list]:

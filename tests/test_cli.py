@@ -114,6 +114,18 @@ def test_classify_json_pinned_on_random_graphs(capsys, monkeypatch):
     assert stdout == (DATA_DIR / "gnp_d18_20_22.classify.jsonl").read_text()
 
 
+def test_classify_json_pinned_on_relabelled_bridges(capsys, monkeypatch):
+    # bridge_graph(k), k = 7..10, with vertex v relabelled to image[v - 1] for
+    # image = random.Random(f"bridge-{k}").sample(range(1, k + 7), k + 6);
+    # expected output recorded from the independent-set scan
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO((DATA_DIR / "bridge_k7_10.g6").read_text()))
+    code, stdout, _ = run_cli(capsys, "classify", "-", "--format", "graph6", "--json")
+    assert code == 0
+    assert stdout == (DATA_DIR / "bridge_k7_10.classify.jsonl").read_text()
+
+
 def test_classify_graph6_input(tmp_path, capsys, bridge2):
     path = tmp_path / "graphs.g6"
     path.write_text(serialize_graph6(bridge2) + "\n" + serialize_graph6(bridge_graph(1)) + "\n")

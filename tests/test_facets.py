@@ -1,3 +1,5 @@
+import gc
+import inspect
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 
 from edgering import (
     Fundamental,
+    Graph,
     RegularVertex,
     SupportForm,
     bridge_graph,
@@ -15,8 +18,12 @@ from edgering import (
     facet_forms,
     facet_sort_key,
     facets,
+    is_bipartite,
+    is_connected,
     is_fundamental,
     is_regular_vertex,
+    iter_fundamental_sets,
+    labelled_graphs,
     members,
     regular_vertices,
     support_form,
@@ -27,7 +34,9 @@ from helpers import (
     brute_fundamental_sets,
     brute_regular_vertex,
     connected_nonbipartite_graphs,
+    independent_set_scan_fundamental_sets,
     random_connected_nonbipartite,
+    random_graph,
 )
 
 
@@ -103,6 +112,49 @@ def test_is_fundamental_rejects_bad_sets(bridge2):
 def test_fundamental_enumeration_is_lexicographic(bridge2):
     got = [members(t) for t in enumerate_fundamental_sets(bridge2)]
     assert got == sorted(got)
+
+
+def test_fundamental_sets_match_independent_set_scan_on_all_small_graphs():
+    for d in range(1, 6):
+        for g in labelled_graphs(d):
+            if is_connected(g) and not is_bipartite(g):
+                assert enumerate_fundamental_sets(g) == independent_set_scan_fundamental_sets(g), g
+
+
+@pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 0.8])
+@pytest.mark.parametrize("d", range(8, 17))
+def test_fundamental_sets_match_independent_set_scan_on_random_graphs(d, p):
+    rng = random.Random(f"gnp-{d}-{p}")
+    g = random_graph(rng, d, p)
+    assert enumerate_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_fundamental_sets_match_independent_set_scan_on_relabelled_bridges(k):
+    # the middle vertices all share both path ends, so nearly every
+    # independent set is connected through shared neighbours
+    d = 6 + k
+    image = random.Random(f"bridge-{k}").sample(range(1, d + 1), d)
+    g = Graph(d, tuple((image[i - 1], image[j - 1]) for i, j in bridge_graph(k).edges))
+    assert enumerate_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
+
+
+def test_fundamental_enumeration_is_a_generator_function():
+    # bench/tracer.py lists it in GENERATORS and times each resumption; an
+    # eager function would move its time into the caller's span
+    assert inspect.isgeneratorfunction(iter_fundamental_sets)
+
+
+def test_fundamental_enumeration_leaves_no_cyclic_garbage():
+    g = bridge_graph(6)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            enumerate_fundamental_sets(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(connected_nonbipartite_graphs(max_d=6))

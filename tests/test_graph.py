@@ -18,6 +18,7 @@ from edgering import (
     connected_components,
     connected_within,
     cycle_graph,
+    every_component_nonbipartite,
     generate_family,
     induced_subgraph,
     is_bipartite,
@@ -281,6 +282,18 @@ def test_odd_cycle_witness_is_valid(g):
         for k in range(len(cyc)):
             assert g.has_edge(cyc[k], cyc[(k + 1) % len(cyc)])
         assert cyc == canonical_cycle(cyc)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_every_component_nonbipartite_matches_odd_cycle_witness(d):
+    # the parity flood against its definition, on every vertex subset
+    # including the empty one
+    rng = random.Random(f"parity-{d}")
+    for p in (0.2, 0.35, 0.6):
+        g = random_graph(rng, d, p)
+        for s in range(1 << d):
+            expect = all(odd_cycle_witness(g, c) is not None for c in connected_components(g, s))
+            assert every_component_nonbipartite(g, s) == expect, (g, s)
 
 
 def test_canonical_cycle():
