@@ -252,6 +252,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if skipped:
             print(f"skipped: {skipped} (disconnected or bipartite)")
         disagreements = summary.disagreements
+    elif not 1 <= args.max_vertices <= 7:  # 2^(N choose 2) labelled graphs at N
+        print("error: --max-vertices must be 1..7; sweep larger graphs with --source",
+              file=sys.stderr)
+        return EXIT_INPUT
     else:
         total = checked = normal = r1 = 0
         for d in range(1, args.max_vertices + 1):
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="exhaustive cross-check over small graphs")
-    p.add_argument("--max-vertices", type=int, default=5)
+    p.add_argument("--max-vertices", type=int, default=5, help="1..7 (default 5)")
     p.add_argument("--source", help="graph6 file to sweep instead of all graphs")
     p.set_defaults(func=cmd_sweep)
 

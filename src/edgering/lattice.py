@@ -1,4 +1,4 @@
-"""Exact integer row lattices in canonical Hermite normal form.
+"""Exact integer row lattices in echelon form, canonicalized on demand.
 
 Everything here is pure-integer arithmetic on small dense vectors; Python
 ints never overflow, so no pivoting strategy or bound tracking is needed.
@@ -7,6 +7,7 @@ ints never overflow, so no pivoting strategy or bound tracking is needed.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import prod
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -54,7 +55,7 @@ def _insert(rows: list[list[int]], pivots: list[int], vec: list[int], dim: int) 
                 vec[k] = ag * vk - bg * rk
 
 
-def _canonicalize(rows: list[list[int]], pivots: list[int], dim: int) -> None:
+def _canonicalize(rows: list[list[int]], pivots: Sequence[int], dim: int) -> None:
     for idx, j in enumerate(pivots):
         if rows[idx][j] < 0:
             rows[idx] = [-x for x in rows[idx]]
@@ -70,14 +71,14 @@ def _canonicalize(rows: list[list[int]], pivots: list[int], dim: int) -> None:
 
 
 class IntegerLattice:
-    """Sublattice of Z^dim, stored as its canonical Hermite basis.
-
-    Canonical means: basis rows in echelon order, each pivot positive, and
-    every entry above a pivot reduced into [0, pivot).  That representative
-    is unique for the lattice, so equality is a plain tuple comparison.
+    """Sublattice of Z^dim, stored as echelon rows (strictly increasing pivot
+    columns), which rank, pivots, determinant, membership and kernel_of_form
+    read.  The canonical Hermite basis (each pivot positive, every entry
+    above a pivot reduced into [0, pivot)) is unique for the lattice; basis
+    computes it on first access, and equality and hashing compare it.
     """
 
-    __slots__ = ("dim", "basis", "pivots")
+    __slots__ = ("dim", "pivots", "_rows", "_basis")
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):
         if dim < 0:
@@ -89,37 +90,41 @@ class IntegerLattice:
             if len(vec) != dim:
                 raise ValueError(f"vector length {len(vec)} does not match dimension {dim}")
             _insert(rows, pivots, vec, dim)
-        _canonicalize(rows, pivots, dim)
-        self.dim = dim
-        self.basis = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self.dim, self.pivots, self._rows, self._basis = dim, tuple(pivots), rows, None
+
+    @property
+    def basis(self) -> tuple[IntVec, ...]:
+        """The canonical Hermite basis, computed in place on first access (it is echelon too)."""
+        if self._basis is None:
+            _canonicalize(self._rows, self.pivots, self.dim)
+            self._basis = tuple([tuple(r) for r in self._rows])
+        return self._basis
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
+
+    def pivot_product(self) -> int:
+        """|product of the echelon pivots|: the index of the projection onto the pivot columns."""
+        return abs(prod(row[j] for row, j in zip(self._rows, self.pivots)))
 
     def determinant(self) -> int:
-        """Index in Z^dim (product of pivots); requires full rank."""
+        """Index in Z^dim (|product of pivots|); requires full rank."""
         if self.rank != self.dim:
             raise ValueError("lattice is not full rank")
-        out = 1
-        for row, j in zip(self.basis, self.pivots):
-            out *= row[j]
-        return out
+        return self.pivot_product()
 
     def __contains__(self, vec: Sequence[int]) -> bool:
         v = list(vec)
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} does not match dimension {self.dim}")
-        pi = 0
         for j in range(self.dim):
             if v[j] == 0:
                 continue
-            while pi < len(self.pivots) and self.pivots[pi] < j:
-                pi += 1
+            pi = bisect_left(self.pivots, j)
             if pi == len(self.pivots) or self.pivots[pi] != j:
                 return False
-            row = self.basis[pi]
+            row = self._rows[pi]
             if v[j] % row[j]:
                 return False
             q = v[j] // row[j]
@@ -141,18 +146,20 @@ class IntegerLattice:
     def kernel_of_form(self, coeffs: Sequence[int]) -> "IntegerLattice":
         """The sublattice of elements on which the linear form vanishes.
 
-        Works by prepending the form value as an extra coordinate, renormalizing,
-        and keeping the rows whose extra coordinate is zero.
+        Prepends each echelon row's form value as a coordinate and refolds the rows: only
+        the first can then be nonzero there; the others, without it, are the kernel's rows.
         """
         if len(coeffs) != self.dim:
             raise ValueError(f"form length {len(coeffs)} does not match dimension {self.dim}")
-        aug = []
-        for row in self.basis:
-            val = sum(c * x for c, x in zip(coeffs, row))
-            aug.append((val,) + row)
-        tmp = IntegerLattice(self.dim + 1, aug)
-        kept = [row[1:] for row in tmp.basis if row[0] == 0]
-        return IntegerLattice(self.dim, kept)
+        rows: list[list[int]] = []
+        pivots: list[int] = []
+        for row in self._rows:
+            _insert(rows, pivots, [sum(c * x for c, x in zip(coeffs, row))] + row, self.dim + 1)
+        start = 1 if pivots and pivots[0] == 0 else 0
+        ker = IntegerLattice.__new__(IntegerLattice)  # the rows are echelon: no re-insertion
+        ker.dim, ker.pivots, ker._basis = self.dim, tuple(j - 1 for j in pivots[start:]), None
+        ker._rows = [r[1:] for r in rows[start:]]
+        return ker
 
 
 def even_sum_lattice(d: int) -> IntegerLattice:

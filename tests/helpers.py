@@ -22,6 +22,7 @@ from edgering import (
     odd_cycle_witness,
     vset,
 )
+from edgering.lattice import _canonicalize, _insert
 
 
 def nx_graph(g: Graph) -> nx.Graph:
@@ -264,3 +265,61 @@ def connected_nonbipartite_graphs(draw, min_d: int = 3, max_d: int = 7) -> Graph
     g = Graph(d, tuple(set(base) | set(extra)))
     assert is_connected(g) and not is_bipartite(g)
     return g
+
+
+class EagerLattice:
+    """The lattice as built before its canonical basis became lazy.
+
+    Canonicalizes in the constructor, reads the canonical rows for
+    determinant and membership, and builds two lattices in kernel_of_form.
+    The reference IntegerLattice's lazy form is compared against.
+    """
+
+    def __init__(self, dim: int, vectors=()):
+        rows: list[list[int]] = []
+        pivots: list[int] = []
+        for v in vectors:
+            _insert(rows, pivots, list(v), dim)
+        _canonicalize(rows, pivots, dim)
+        self.dim = dim
+        self.basis = tuple(tuple(r) for r in rows)
+        self.pivots = tuple(pivots)
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def determinant(self) -> int:
+        if self.rank != self.dim:
+            raise ValueError("lattice is not full rank")
+        out = 1
+        for row, j in zip(self.basis, self.pivots):
+            out *= row[j]
+        return out
+
+    def __contains__(self, vec) -> bool:
+        v = list(vec)
+        pi = 0
+        for j in range(self.dim):
+            if v[j] == 0:
+                continue
+            while pi < len(self.pivots) and self.pivots[pi] < j:
+                pi += 1
+            if pi == len(self.pivots) or self.pivots[pi] != j:
+                return False
+            row = self.basis[pi]
+            if v[j] % row[j]:
+                return False
+            q = v[j] // row[j]
+            for k in range(j, self.dim):
+                v[k] -= q * row[k]
+        return True
+
+    def kernel_of_form(self, coeffs) -> "EagerLattice":
+        aug = []
+        for row in self.basis:
+            val = sum(c * x for c, x in zip(coeffs, row))
+            aug.append((val,) + row)
+        tmp = EagerLattice(self.dim + 1, aug)
+        kept = [row[1:] for row in tmp.basis if row[0] == 0]
+        return EagerLattice(self.dim, kept)

@@ -269,6 +269,15 @@ def test_sweep_small(capsys):
     assert "elapsed:" in stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "8"])
+def test_sweep_rejects_max_vertices_out_of_range(capsys, n):
+    # 0 or less would check nothing; 8 or more walks 2^(n choose 2) graphs
+    code, stdout, stderr = run_cli(capsys, "sweep", "--max-vertices", n)
+    assert code == 2
+    assert stdout == ""
+    assert "--max-vertices must be 1..7" in stderr and "--source" in stderr
+
+
 def test_sweep_source(tmp_path, capsys, bridge2):
     path = tmp_path / "mix.g6"
     lines = [

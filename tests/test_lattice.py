@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgering import IntegerLattice, even_sum_lattice, xgcd
+from helpers import EagerLattice
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,66 @@ def test_kernel_properties(vecs, coeffs):
                 vals[b] * lat.basis[a][k] - vals[a] * lat.basis[b][k] for k in range(4)
             ]
             assert mixed in ker
+
+
+# ---------------------------------------------------------------------------
+# the lazy canonical form against the eager reference
+
+forms = st.lists(st.integers(-5, 5), min_size=4, max_size=4)
+probes = st.lists(st.lists(st.integers(-30, 30), min_size=4, max_size=4), max_size=4)
+
+
+@given(vectors, forms, probes, st.booleans())
+@settings(max_examples=150)
+def test_lazy_lattice_agrees_with_eager_reference(vecs, coeffs, extra, basis_first):
+    lat = IntegerLattice(4, vecs)
+    ref = EagerLattice(4, vecs)
+    if basis_first:
+        assert lat.basis == ref.basis
+    # generators, their sums and arbitrary vectors, before or after basis
+    sums = [[a + b for a, b in zip(u, w)] for u, w in zip(vecs, vecs[1:])]
+    for v in vecs + sums + extra:
+        assert (v in lat) == (v in ref)
+    assert lat.pivots == ref.pivots
+    assert lat.rank == ref.rank
+    if ref.rank == 4:
+        assert lat.determinant() == ref.determinant()
+    else:
+        with pytest.raises(ValueError, match="full rank"):
+            lat.determinant()
+    ker, ker_ref = lat.kernel_of_form(coeffs), ref.kernel_of_form(coeffs)
+    assert ker.pivots == ker_ref.pivots
+    for v in vecs + extra:
+        assert (v in ker) == (v in ker_ref)
+    assert ker.basis == ker_ref.basis
+    assert lat.basis == ref.basis
+    assert ker == IntegerLattice(4, ker_ref.basis)
+
+
+combinations = st.lists(st.lists(st.integers(-2, 2), min_size=7, max_size=7), max_size=6)
+
+
+@given(vectors, combinations)
+@settings(max_examples=200)
+def test_sublattice_equality_by_pivots_and_pivot_product(vecs, coefficient_rows):
+    # Z is generated inside K; the oracle decides Z == K from the echelon
+    # pivot columns and |product of pivots| alone
+    big = IntegerLattice(4, vecs)
+    gens = [
+        [sum(c * v[k] for c, v in zip(cs, vecs)) for k in range(4)] for cs in coefficient_rows
+    ]
+    small = IntegerLattice(4, gens)
+    shortcut = small.pivots == big.pivots and small.pivot_product() == big.pivot_product()
+    assert shortcut == (small == big)
+
+
+def test_pivot_product_reads_echelon_pivots():
+    assert IntegerLattice(3, [(-2, 1, 0), (0, 0, 3)]).pivot_product() == 6
+    assert IntegerLattice(3, []).pivot_product() == 1
+    assert even_sum_lattice(5).pivot_product() == even_sum_lattice(5).determinant() == 2
+    # same rank and pivot product, different lattices: the shortcut needs inclusion
+    a, b = IntegerLattice(2, [(1, 0)]), IntegerLattice(2, [(1, 1)])
+    assert (a.pivots, a.pivot_product()) == (b.pivots, b.pivot_product()) and a != b
 
 
 # ---------------------------------------------------------------------------

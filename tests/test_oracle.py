@@ -6,6 +6,11 @@ from hypothesis import given, settings
 
 from edgering import (
     FacetCheck,
+    facet_forms,
+    is_bipartite,
+    is_connected,
+    labelled_graphs,
+    parse_graph6,
     Fundamental,
     Graph,
     IntegerLattice,
@@ -27,6 +32,7 @@ from edgering import (
     verify_facet_rank,
     vset,
 )
+from conftest import DATA_DIR
 from helpers import connected_nonbipartite_graphs, random_connected_nonbipartite
 
 
@@ -218,3 +224,44 @@ def test_structural_checks_hold_everywhere(g):
         assert verify_facet_rank(g, c)
         if isinstance(c.facet, Fundamental):
             assert verify_decomposition(g, c)
+
+
+# ---------------------------------------------------------------------------
+# condition 2 by pivots and pivot product, against canonical equality
+
+def _shortcut_targets():
+    for d in range(1, 6):
+        for g in labelled_graphs(d):
+            if is_connected(g) and not is_bipartite(g):
+                yield g
+    yield from parse_graph6((DATA_DIR / "conn7.g6").read_text())
+
+
+def test_lattice_match_equals_canonical_equality():
+    facets_seen = 0
+    for g in _shortcut_targets():
+        group = monoid_group(g)
+        for check, (f, form) in zip(facet_conditions(g), facet_forms(g), strict=True):
+            assert check.facet == f
+            assert check.match == (check.zero == group.kernel_of_form(form.coeffs))
+            facets_seen += 1
+    assert facets_seen == 7586
+
+
+def test_oracle_never_canonicalizes(monkeypatch):
+    import edgering.lattice
+
+    calls = []
+    original = edgering.lattice._canonicalize
+
+    def counted(*args):
+        calls.append(1)
+        original(*args)
+
+    monkeypatch.setattr(edgering.lattice, "_canonicalize", counted)
+    assert oracle_r1(bridge_graph(2))[0]
+    for g in parse_graph6((DATA_DIR / "conn7_sample.g6").read_text()):
+        oracle_r1(g)
+    assert calls == []
+    # the counter sees the canonical form once it is asked for
+    assert even_sum_lattice(3).basis and calls == [1]
