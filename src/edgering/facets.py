@@ -24,6 +24,7 @@ from typing import Iterator, Sequence, Union
 
 from .graph import (
     Graph,
+    UnsupportedError,
     VertexSet,
     every_component_nonbipartite,
     is_bipartite,
@@ -209,7 +210,7 @@ def facets(g: Graph) -> list[FacetDescriptor]:
     """
     require_connected(g)
     if is_bipartite(g):
-        raise ValueError("graph is bipartite; facet data needs an odd cycle")
+        raise UnsupportedError("graph is bipartite; facet data needs an odd cycle")
     out: list[FacetDescriptor] = [RegularVertex(v) for v in regular_vertices(g)]
     out += [Fundamental(t) for t in iter_fundamental_sets(g)]
     return out

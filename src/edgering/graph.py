@@ -492,7 +492,7 @@ def spanning_tree_edges(g: Graph) -> tuple[Edge, ...]:
 
 def require_connected(g: Graph) -> None:
     if not is_connected(g):
-        raise ValueError("graph is not connected")
+        raise UnsupportedError("graph is not connected")
 
 
 # ---------------------------------------------------------------------------

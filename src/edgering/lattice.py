@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -154,7 +155,7 @@ class IntegerLattice:
         rows: list[list[int]] = []
         pivots: list[int] = []
         for row in self._rows:
-            _insert(rows, pivots, [sum(c * x for c, x in zip(coeffs, row))] + row, self.dim + 1)
+            _insert(rows, pivots, [sum(map(mul, coeffs, row))] + row, self.dim + 1)
         start = 1 if pivots and pivots[0] == 0 else 0
         ker = IntegerLattice.__new__(IntegerLattice)  # the rows are echelon: no re-insertion
         ker.dim, ker.pivots, ker._basis = self.dim, tuple(j - 1 for j in pivots[start:]), None

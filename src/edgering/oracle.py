@@ -13,9 +13,11 @@ lattice inside another equals it exactly when both have the same echelon
 pivot columns and the same |product of pivots|: both project injectively onto
 those columns.  So condition 2 and the group identity need no canonical form.
 
-:func:`facet_conditions` evaluates both once per facet into
-:class:`FacetCheck` records, which the verdict and the structural checks
-:func:`verify_facet_rank` and :func:`verify_decomposition` then read.
+:func:`facet_conditions` evaluates both once per facet, against the monoid
+group a caller passes as ``group`` or else its own, into :class:`FacetCheck`
+records, which the verdict and the structural checks read.  Edge vectors have
+coordinate sum 2, so a zero set's affine hull misses the origin: a facet's
+rank d - 2 is read by :func:`verify_facet_rank` as its zero lattice's rank d - 1.
 
 Everything is checked with exact integer arithmetic; any half-integral
 value where an integer is forced is reported as an internal error rather
@@ -34,6 +36,7 @@ from .facets import support_form  # noqa: F401
 from .graph import (
     Edge,
     Graph,
+    UnsupportedError,
     VertexSet,
     connected_components,
     is_bipartite,
@@ -67,7 +70,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     """
     require_connected(g)
     if is_bipartite(g):
-        raise ValueError("graph is bipartite; its edge vectors span a proper sublattice")
+        raise UnsupportedError("graph is bipartite; its edge vectors span a proper sublattice")
     lat = IntegerLattice(g.d, (edge_vector(e, g.d) for e in g.edges))
     if not _fills(lat, even_sum_lattice(g.d)):
         raise RuntimeError("edge vectors did not span the even-sum lattice; internal error")
@@ -119,11 +122,6 @@ def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
     return nums
 
 
-def _zero_vectors(g: Graph, values: Sequence[int]) -> list[IntVec]:
-    # the edge vectors on which the form vanishes, in edge order
-    return [edge_vector(e, g.d) for e, v in zip(g.edges, values) if v == 0]
-
-
 @dataclass(frozen=True)
 class FacetCheck:
     """The oracle's data on one facet.
@@ -140,14 +138,18 @@ class FacetCheck:
     match: bool
 
 
-def facet_conditions(g: Graph) -> list[FacetCheck]:
-    """Both conditions for every facet, one record per facet in facet order."""
+def facet_conditions(g: Graph, *, group: IntegerLattice | None = None) -> list[FacetCheck]:
+    """Both conditions for every facet, one record per facet in facet order,
+    against the monoid group `group` (built here if not given).
+    """
     forms = facet_forms(g)  # first, so that bad input gets the facet error message
-    group = monoid_group(g)
+    if group is None:
+        group = monoid_group(g)
+    vectors = [edge_vector(e, g.d) for e in g.edges]
     out = []
     for f, form in forms:
         values = _edge_numerators(g, form)
-        zero = IntegerLattice(g.d, _zero_vectors(g, values))
+        zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
         match = _fills(zero, group.kernel_of_form(form.coeffs))
         out.append(FacetCheck(f, values, zero, form.denom in values, match))
     return out
@@ -167,14 +169,10 @@ def oracle_r1(g: Graph) -> tuple[bool, list[FacetDescriptor]]:
 def verify_facet_rank(g: Graph, check: FacetCheck) -> bool:
     """Sanity check that a supporting form really cuts out a facet: it is
     nonnegative on every edge vector, vanishes on some, and its zero set
-    spans an affine sublattice of rank d - 2.
+    spans an affine sublattice of rank d - 2.  Every edge vector has coordinate
+    sum 2, so that affine hull misses the origin and check.zero has rank d - 1.
     """
-    zero = _zero_vectors(g, check.values)
-    if not zero or any(v < 0 for v in check.values):
-        return False
-    base = zero[0]
-    diffs = [[a - b for a, b in zip(vec, base)] for vec in zero[1:]]
-    return IntegerLattice(g.d, diffs).rank == g.d - 2
+    return 0 in check.values and min(check.values) >= 0 and check.zero.rank == g.d - 1
 
 
 def _bipartite_tree_edges(g: Graph, t: VertexSet, nb: VertexSet) -> list[Edge]:

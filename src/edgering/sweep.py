@@ -60,7 +60,7 @@ def cross_check(g: Graph) -> CrossCheck:
     if not group_ok:
         fails.append("monoid-group")
     t_ok, t_viols = satisfies_r1(g)
-    checks = facet_conditions(g) if group_ok else []
+    checks = facet_conditions(g, group=group) if group_ok else []
     o_viols = failing_facets(checks)
     if group_ok and t_ok != (not o_viols):
         fails.append("verdict-mismatch")

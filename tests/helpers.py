@@ -14,9 +14,12 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from edgering import (
+    FacetCheck,
     Graph,
+    IntegerLattice,
     connected_components,
     connected_within,
+    edge_vector,
     members,
     neighborhood,
     odd_cycle_witness,
@@ -323,3 +326,18 @@ class EagerLattice:
         tmp = EagerLattice(self.dim + 1, aug)
         kept = [row[1:] for row in tmp.basis if row[0] == 0]
         return EagerLattice(self.dim, kept)
+
+
+def diff_lattice_facet_rank(g: Graph, check: FacetCheck) -> bool:
+    """verify_facet_rank as it was before it read the record's zero lattice.
+
+    Rederives the zero-valued edge vectors from the record's values and
+    builds the lattice of their differences from the first, which must have
+    rank d - 2.  The reference the rank-of-zero shortcut is compared against.
+    """
+    zero = [edge_vector(e, g.d) for e, v in zip(g.edges, check.values) if v == 0]
+    if not zero or any(v < 0 for v in check.values):
+        return False
+    base = zero[0]
+    diffs = [[a - b for a, b in zip(vec, base)] for vec in zero[1:]]
+    return IntegerLattice(g.d, diffs).rank == g.d - 2

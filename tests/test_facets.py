@@ -241,6 +241,15 @@ def test_facets_rejects_disconnected_and_bipartite():
         facets(cycle_graph(4))
 
 
+def test_facets_refuses_disconnected_and_bipartite_as_unsupported():
+    from edgering import Graph, UnsupportedError
+
+    with pytest.raises(UnsupportedError, match="not connected"):
+        facets(Graph(4, ((1, 2), (3, 4))))
+    with pytest.raises(UnsupportedError, match="bipartite"):
+        facets(cycle_graph(4))
+
+
 def test_fundamental_repr_shows_vertices():
     f = Fundamental(vset([7, 8]))
     assert repr(f) == "Fundamental({7, 8})"

@@ -6,6 +6,7 @@ from edgering import (
     Fundamental,
     Graph,
     RegularVertex,
+    UnsupportedError,
     bridge_graph,
     classify,
     complete_bipartite_graph,
@@ -161,6 +162,13 @@ def test_classify_is_deterministic(bridge2):
 def test_classify_requires_connected():
     with pytest.raises(ValueError, match="not connected"):
         classify(Graph(2, ()))
+
+
+def test_classify_refuses_disconnected_as_unsupported():
+    with pytest.raises(UnsupportedError, match="not connected"):
+        classify(Graph(2, ()))
+    with pytest.raises(UnsupportedError, match="not connected"):
+        classify(Graph(4, ((1, 2), (3, 4))))
 
 
 @given(connected_nonbipartite_graphs(max_d=6))

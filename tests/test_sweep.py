@@ -79,3 +79,23 @@ def test_monoid_group_failure_is_tagged_not_raised(monkeypatch, bridge1):
     assert summary.checked == 2 and summary.r1 == 1
     assert [cc.graph6 for cc in summary.disagreements] == [result.graph6, cross_check(bridge1).graph6]
     assert all("monoid-group" in cc.failures for cc in summary.disagreements)
+
+
+def test_cross_check_builds_monoid_group_once(monkeypatch):
+    # cross_check hands its group to facet_conditions, which would otherwise
+    # build it again; count the calls at both import sites
+    import edgering.oracle
+    import edgering.sweep
+
+    calls = []
+    original = edgering.oracle.monoid_group
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(edgering.sweep, "monoid_group", counted)
+    monkeypatch.setattr(edgering.oracle, "monoid_group", counted)
+    g = bridge_graph(2)
+    assert cross_check(g).failures == ()
+    assert calls == [g]
