@@ -11,7 +11,6 @@ from .facets import (
     Fundamental,
     RegularVertex,
     SupportForm,
-    enumerate_fundamental_sets,
     facet_forms,
     facet_sort_key,
     facets,
@@ -39,7 +38,6 @@ from .graph import (
     cycle_graph,
     every_component_nonbipartite,
     generate_family,
-    induced_subgraph,
     is_bipartite,
     is_connected,
     labelled_graphs,
@@ -72,6 +70,6 @@ from .serre import (
     satisfies_odd_cycle_condition,
     satisfies_r1,
 )
-from .sweep import CrossCheck, SweepSummary, cross_check, run_sweep, sweep_targets
+from .sweep import CrossCheck, SweepSummary, cross_check, run_sweep
 
 __version__ = "0.1.0"

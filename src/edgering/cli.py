@@ -21,8 +21,6 @@ from .graph import (
     ParseError,
     UnsupportedError,
     generate_family,
-    is_bipartite,
-    is_connected,
     labelled_graphs,
     parse_edge_list,
     parse_graph6,
@@ -241,28 +239,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     disagreements = []
     if args.source:
-        graphs = [g for _, g in _load_graphs(args.source, "graph6")]
-        eligible = [g for g in graphs if is_connected(g) and not is_bipartite(g)]
-        summary = run_sweep(eligible)
+        summary = run_sweep(g for _, g in _load_graphs(args.source, "graph6"))
         print(
             f"source {args.source}: checked={summary.checked} "
             f"normal={summary.normal} r1={summary.r1}"
         )
-        skipped = len(graphs) - len(eligible)
-        if skipped:
-            print(f"skipped: {skipped} (disconnected or bipartite)")
+        if summary.skipped:
+            print(f"skipped: {summary.skipped} (disconnected or bipartite)")
         disagreements = summary.disagreements
     elif not 1 <= args.max_vertices <= 7:  # 2^(N choose 2) labelled graphs at N
         print("error: --max-vertices must be 1..7; sweep larger graphs with --source",
               file=sys.stderr)
         return EXIT_INPUT
     else:
-        total = checked = normal = r1 = 0
+        checked = normal = r1 = 0
         for d in range(1, args.max_vertices + 1):
-            summary = run_sweep(
-                g for g in labelled_graphs(d)
-                if is_connected(g) and not is_bipartite(g)
-            )
+            summary = run_sweep(labelled_graphs(d))
             print(
                 f"d={d}: checked={summary.checked} "
                 f"normal={summary.normal} r1={summary.r1}"
@@ -289,6 +281,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             if args.n is None or args.k is not None:
                 raise ValueError(f"family {args.family!r} takes --n")
             g = generate_family(args.family, tuple(args.n))
+    except UnsupportedError:
+        raise  # above the vertex bound: exit 3 from main
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

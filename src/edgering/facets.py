@@ -95,45 +95,24 @@ def regular_vertices(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 # fundamental sets
 
-def _bipartite_part_connected(g: Graph, t: VertexSet, nb: VertexSet) -> bool:
-    # connectivity of the graph on t | nb using only edges between t and nb
-    total = t | nb
-    start = t & -t
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length()
-            if t >> (v - 1) & 1:
-                nxt |= g.adj[v - 1] & nb
-            else:
-                nxt |= g.adj[v - 1] & t
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == total
-
-
 def is_fundamental(g: Graph, t: VertexSet) -> bool:
     """Fundamental set test: t independent, the t-to-N(t) bipartite subgraph
-    connected, and every component away from t and N(t) nonbipartite.
+    connected, and every component away from t and N(t) nonbipartite.  For an
+    independent t that subgraph is connected exactly when t is connected
+    through shared neighbours (see iter_fundamental_sets).
     """
     if t == 0:
         raise ValueError("empty vertex set")
     if t & ~g.full:
         raise ValueError("vertex set not within 1..d")
-    m = t
-    while m:
-        low = m & -m
-        if g.adj[low.bit_length() - 1] & t:
-            return False
-        m ^= low
     nb = neighborhood(g, t)
-    rest = g.full & ~(t | nb)
-    return _bipartite_part_connected(g, t, nb) and every_component_nonbipartite(g, rest)
+    if nb & t:
+        return False
+    seen = frontier = t & -t
+    while frontier:
+        frontier = neighborhood(g, neighborhood(g, frontier)) & t & ~seen
+        seen |= frontier
+    return seen == t and every_component_nonbipartite(g, g.full & ~(t | nb))
 
 
 def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
@@ -165,10 +144,6 @@ def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
                 fresh = share[i] & above & ~reached
                 stack.append((t | w, child_nb, (ext | fresh) & ~child_nb, reached | share[i]))
     yield from sorted(out, key=members)
-
-
-def enumerate_fundamental_sets(g: Graph) -> list[VertexSet]:
-    return list(iter_fundamental_sets(g))
 
 
 # ---------------------------------------------------------------------------

@@ -390,27 +390,7 @@ def canonical_cycle(seq: Sequence[int]) -> Cycle:
 
 
 # ---------------------------------------------------------------------------
-# subgraphs and neighborhoods
-
-def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced on s, relabelled to 1..|s|.
-
-    Returns (subgraph, labels) where labels[k-1] is the original label of
-    the new vertex k.
-    """
-    if s == 0:
-        raise ValueError("empty vertex set")
-    if s & ~g.full:
-        raise ValueError("vertex set not within 1..d")
-    labels = members(s)
-    index = {v: k for k, v in enumerate(labels, start=1)}
-    edges = tuple(
-        (index[i], index[j])
-        for i, j in g.edges
-        if s >> (i - 1) & 1 and s >> (j - 1) & 1
-    )
-    return Graph(len(labels), edges), labels
-
+# neighborhoods
 
 def neighborhood(g: Graph, t: VertexSet) -> VertexSet:
     """Union of the neighbor sets of the vertices in t."""

@@ -11,7 +11,9 @@ ring is regular in codimension one exactly when two exact conditions hold:
 The zero-valued edge vectors lie in that kernel by construction, and a
 lattice inside another equals it exactly when both have the same echelon
 pivot columns and the same |product of pivots|: both project injectively onto
-those columns.  So condition 2 and the group identity need no canonical form.
+those columns.  So condition 2 needs no canonical form, and the group identity
+needs no even-sum lattice: edge vectors have even coordinate sum, so their
+group fills that lattice exactly when it has its rank d and pivot product 2.
 
 :func:`facet_conditions` evaluates both once per facet, against the monoid
 group a caller passes as ``group`` or else its own, into :class:`FacetCheck`
@@ -46,7 +48,7 @@ from .graph import (
     require_connected,
     spanning_tree_edges,
 )
-from .lattice import IntegerLattice, IntVec, even_sum_lattice
+from .lattice import IntegerLattice, IntVec
 
 
 def edge_vector(e: Edge, d: int) -> IntVec:
@@ -72,7 +74,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     if is_bipartite(g):
         raise UnsupportedError("graph is bipartite; its edge vectors span a proper sublattice")
     lat = IntegerLattice(g.d, (edge_vector(e, g.d) for e in g.edges))
-    if not _fills(lat, even_sum_lattice(g.d)):
+    if not _is_even_sum_lattice(lat):
         raise RuntimeError("edge vectors did not span the even-sum lattice; internal error")
     return lat
 
@@ -102,7 +104,13 @@ def verify_even_sum_basis(g: Graph) -> bool:
     gens.append(tuple(acc))
     if len(gens) != g.d:
         return False
-    return _fills(IntegerLattice(g.d, gens), even_sum_lattice(g.d))
+    return _is_even_sum_lattice(IntegerLattice(g.d, gens))
+
+
+def _is_even_sum_lattice(lat: IntegerLattice) -> bool:
+    # lat is generated by vectors of even coordinate sum, so it lies inside the
+    # even-sum lattice, whose pivots are 0..d-1 with product 2 (module docstring)
+    return lat.rank == lat.dim and lat.pivot_product() == 2
 
 
 def _fills(sub: IntegerLattice, lat: IntegerLattice) -> bool:

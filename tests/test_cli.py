@@ -52,6 +52,18 @@ def test_generate_rejects_bad_parameters(capsys, argv):
     assert "error:" in stderr
 
 
+def test_generate_above_vertex_bound_is_unsupported(capsys):
+    code, stdout, stderr = run_cli(capsys, "generate", "cycle", "--n", "65")
+    assert code == 3 and stdout == ""
+    assert "error:" in stderr and "65" in stderr
+
+
+def test_generate_at_vertex_bound(capsys):
+    code, stdout, _ = run_cli(capsys, "generate", "bridge", "--k", "58")
+    assert code == 0
+    assert stdout.startswith("64 ")
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -262,10 +274,14 @@ def test_json_pinned_on_conn7_sample(capsys, monkeypatch, command):
 def test_sweep_small(capsys):
     code, stdout, stderr = run_cli(capsys, "sweep", "--max-vertices", "4")
     assert code == 0
-    assert "d=3: checked=1 normal=1 r1=1" in stdout
-    assert "d=4: checked=19 normal=19 r1=19" in stdout
-    assert "total: checked=20 normal=20 r1=20" in stdout
-    assert "disagreements: 0" in stdout
+    assert stdout == (
+        "d=1: checked=0 normal=0 r1=0\n"
+        "d=2: checked=0 normal=0 r1=0\n"
+        "d=3: checked=1 normal=1 r1=1\n"
+        "d=4: checked=19 normal=19 r1=19\n"
+        "total: checked=20 normal=20 r1=20\n"
+        "disagreements: 0\n"
+    )
     assert "elapsed:" in stderr
 
 
@@ -288,9 +304,11 @@ def test_sweep_source(tmp_path, capsys, bridge2):
     path.write_text("\n".join(lines) + "\n")
     code, stdout, _ = run_cli(capsys, "sweep", "--source", str(path))
     assert code == 0
-    assert "checked=2 normal=0 r1=1" in stdout
-    assert "skipped: 1" in stdout
-    assert "disagreements: 0" in stdout
+    assert stdout == (
+        f"source {path}: checked=2 normal=0 r1=1\n"
+        "skipped: 1 (disconnected or bipartite)\n"
+        "disagreements: 0\n"
+    )
 
 
 def test_sweep_corpus(capsys, corpus7_path):

@@ -14,7 +14,6 @@ from edgering import (
     bridge_graph,
     complete_graph,
     cycle_graph,
-    enumerate_fundamental_sets,
     facet_forms,
     facet_sort_key,
     facets,
@@ -82,7 +81,7 @@ def test_regular_vertices_match_brute_force(g):
 # fundamental sets
 
 def test_fundamental_sets_bridge2(bridge2):
-    got = [members(t) for t in enumerate_fundamental_sets(bridge2)]
+    got = [members(t) for t in iter_fundamental_sets(bridge2)]
     assert got == [
         (1,), (1, 5, 7, 8), (1, 6, 7, 8),
         (2,), (2, 5, 7, 8), (2, 6, 7, 8),
@@ -94,10 +93,10 @@ def test_fundamental_sets_bridge2(bridge2):
 
 
 def test_fundamental_sets_small():
-    assert [members(t) for t in enumerate_fundamental_sets(complete_graph(3))] == [
+    assert [members(t) for t in iter_fundamental_sets(complete_graph(3))] == [
         (1,), (2,), (3,),
     ]
-    assert [members(t) for t in enumerate_fundamental_sets(cycle_graph(5))] == [
+    assert [members(t) for t in iter_fundamental_sets(cycle_graph(5))] == [
         (1, 3), (1, 4), (2, 4), (2, 5), (3, 5),
     ]
 
@@ -110,7 +109,7 @@ def test_is_fundamental_rejects_bad_sets(bridge2):
 
 
 def test_fundamental_enumeration_is_lexicographic(bridge2):
-    got = [members(t) for t in enumerate_fundamental_sets(bridge2)]
+    got = [members(t) for t in iter_fundamental_sets(bridge2)]
     assert got == sorted(got)
 
 
@@ -118,7 +117,7 @@ def test_fundamental_sets_match_independent_set_scan_on_all_small_graphs():
     for d in range(1, 6):
         for g in labelled_graphs(d):
             if is_connected(g) and not is_bipartite(g):
-                assert enumerate_fundamental_sets(g) == independent_set_scan_fundamental_sets(g), g
+                assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g), g
 
 
 @pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 0.8])
@@ -126,7 +125,7 @@ def test_fundamental_sets_match_independent_set_scan_on_all_small_graphs():
 def test_fundamental_sets_match_independent_set_scan_on_random_graphs(d, p):
     rng = random.Random(f"gnp-{d}-{p}")
     g = random_graph(rng, d, p)
-    assert enumerate_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
+    assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -136,7 +135,7 @@ def test_fundamental_sets_match_independent_set_scan_on_relabelled_bridges(k):
     d = 6 + k
     image = random.Random(f"bridge-{k}").sample(range(1, d + 1), d)
     g = Graph(d, tuple((image[i - 1], image[j - 1]) for i, j in bridge_graph(k).edges))
-    assert enumerate_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
+    assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g)
 
 
 def test_fundamental_enumeration_is_a_generator_function():
@@ -151,7 +150,7 @@ def test_fundamental_enumeration_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         for _ in range(50):
-            enumerate_fundamental_sets(g)
+            list(iter_fundamental_sets(g))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -160,7 +159,18 @@ def test_fundamental_enumeration_leaves_no_cyclic_garbage():
 @given(connected_nonbipartite_graphs(max_d=6))
 @settings(max_examples=30)
 def test_fundamental_sets_match_brute_force(g):
-    assert [members(t) for t in enumerate_fundamental_sets(g)] == brute_fundamental_sets(g)
+    assert [members(t) for t in iter_fundamental_sets(g)] == brute_fundamental_sets(g)
+
+
+def test_fundamental_predicate_matches_enumeration_on_all_small_graphs():
+    # every nonempty vertex set of every connected nonbipartite labelled graph
+    # with d <= 5: the predicate's shared-neighbour flood against the enumerator
+    for d in range(1, 6):
+        for g in labelled_graphs(d):
+            if is_connected(g) and not is_bipartite(g):
+                found = set(iter_fundamental_sets(g))
+                for t in range(1, g.full + 1):
+                    assert is_fundamental(g, t) == (t in found), (g, members(t))
 
 
 def test_fundamental_predicate_matches_brute_on_random_subsets():

@@ -20,7 +20,6 @@ from edgering import (
     cycle_graph,
     every_component_nonbipartite,
     generate_family,
-    induced_subgraph,
     is_bipartite,
     is_connected,
     labelled_graphs,
@@ -304,20 +303,7 @@ def test_canonical_cycle():
 
 
 # ---------------------------------------------------------------------------
-# induced subgraphs and neighborhoods
-
-def test_induced_subgraph(bridge2):
-    sub, labels = induced_subgraph(bridge2, vset([4, 5, 6]))
-    assert labels == (4, 5, 6)
-    assert sub == complete_graph(3)
-    sub2, labels2 = induced_subgraph(bridge2, vset([1, 2, 5, 6]))
-    assert labels2 == (1, 2, 5, 6)
-    assert sub2.edges == ((1, 2), (3, 4))
-    single, _ = induced_subgraph(bridge2, vset([7]))
-    assert single == Graph(1, ())
-    with pytest.raises(ValueError, match="empty"):
-        induced_subgraph(bridge2, 0)
-
+# neighborhoods
 
 def test_neighborhood(bridge2):
     assert neighborhood(bridge2, vset([7, 8])) == vset([3, 4])

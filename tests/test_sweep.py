@@ -2,6 +2,7 @@ import networkx as nx
 import pytest
 
 from edgering import (
+    Graph,
     bridge_graph,
     cross_check,
     is_bipartite,
@@ -9,7 +10,6 @@ from edgering import (
     labelled_graphs,
     parse_graph6,
     run_sweep,
-    sweep_targets,
 )
 from helpers import nx_graph
 
@@ -24,32 +24,53 @@ def test_cross_check_clean_on_exhibits(bridge2, bridge1):
     assert not cross_check(bridge1).r1
 
 
-def test_sweep_targets_counts_match_networkx():
+def test_run_sweep_counts_match_networkx():
     # recount connected nonbipartite labelled graphs independently
+    checked = {}
     for d in range(1, 5):
-        ours = sum(1 for _ in sweep_targets(d))
-        ref = 0
-        for dd in range(1, d + 1):
-            for g in labelled_graphs(dd):
-                h = nx_graph(g)
-                if nx.is_connected(h) and not nx.bipartite.is_bipartite(h):
-                    ref += 1
-        assert ours == ref
-    assert sum(1 for _ in sweep_targets(3)) == 1
-    assert sum(1 for _ in sweep_targets(4)) == 20
+        summary = run_sweep(labelled_graphs(d))
+        checked[d] = summary.checked
+        ref = skipped = 0
+        for g in labelled_graphs(d):
+            h = nx_graph(g)
+            if nx.is_connected(h) and not nx.bipartite.is_bipartite(h):
+                ref += 1
+            else:
+                skipped += 1
+        assert (summary.checked, summary.skipped) == (ref, skipped)
+    assert checked == {1: 0, 2: 0, 3: 1, 4: 19}
 
 
-def test_sweep_targets_are_connected_nonbipartite():
-    for g in sweep_targets(4):
-        assert is_connected(g) and not is_bipartite(g)
+def test_run_sweep_checks_only_connected_nonbipartite(monkeypatch):
+    import edgering.sweep
+
+    seen = []
+    original = edgering.sweep.cross_check
+
+    def recorded(g):
+        seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(edgering.sweep, "cross_check", recorded)
+    summary = run_sweep(labelled_graphs(4))
+    assert len(seen) == summary.checked == 19
+    assert all(is_connected(g) and not is_bipartite(g) for g in seen)
 
 
 def test_run_sweep_small():
-    summary = run_sweep(sweep_targets(4))
+    summary = run_sweep(g for d in range(1, 5) for g in labelled_graphs(d))
     assert summary.checked == 20
+    assert summary.skipped == 1 + 2 + 8 + 64 - 20
     assert summary.normal == 20
     assert summary.r1 == 20
     assert summary.disagreements == []
+
+
+def test_run_sweep_skips_disconnected_and_bipartite():
+    summary = run_sweep([bridge_graph(2), Graph(2, ((1, 2),)), Graph(4, ((1, 2), (3, 4)))])
+    assert summary.checked == 1
+    assert summary.skipped == 2
+    assert (summary.normal, summary.r1) == (0, 1)
 
 
 def test_run_sweep_counts_verdicts(bridge1):
@@ -61,15 +82,10 @@ def test_run_sweep_counts_verdicts(bridge1):
 
 
 def test_monoid_group_failure_is_tagged_not_raised(monkeypatch, bridge1):
-    # a wrong even-sum lattice makes monoid_group raise; cross_check must tag
+    # a failed even-sum identity makes monoid_group raise; cross_check must tag
     # the graph, skip the invariants that need the group, and still report
     # normality and (R1) by the criterion
-    from edgering import IntegerLattice
-
-    monkeypatch.setattr(
-        "edgering.oracle.even_sum_lattice",
-        lambda d: IntegerLattice(d, [[2 if i == j else 0 for i in range(d)] for j in range(d)]),
-    )
+    monkeypatch.setattr("edgering.oracle._is_even_sum_lattice", lambda lat: False)
     g = bridge_graph(2)
     result = cross_check(g)
     assert "monoid-group" in result.failures
