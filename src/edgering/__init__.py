@@ -23,6 +23,7 @@ from .facets import (
 from .graph import (
     MAX_VERTICES,
     Cycle,
+    DisagreementError,
     Edge,
     Graph,
     ParseError,

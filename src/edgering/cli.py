@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 malformed input or bad parameters, 3 well-formed
 but unsupported input (disconnected graph, too many vertices, bipartite
 graph where facet data is required), 4 internal disagreement between the
-connectivity criterion and the lattice oracle.
+connectivity criterion and the lattice oracle.  Any other exception is a bug
+and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 
 from .facets import FacetDescriptor, Fundamental, RegularVertex, SupportForm, facet_forms
 from .graph import (
+    DisagreementError,
     Graph,
     ParseError,
     UnsupportedError,
@@ -353,19 +355,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnsupportedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except RuntimeError as exc:
+    except DisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
 

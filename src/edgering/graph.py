@@ -30,6 +30,10 @@ class UnsupportedError(ValueError):
     """Well-formed input outside the supported domain (e.g. too many vertices)."""
 
 
+class DisagreementError(RuntimeError):
+    """Two routes to the same fact disagree: an internal error."""
+
+
 def vset(vertices: Iterable[int]) -> VertexSet:
     """Bitmask for a collection of 1-based vertex labels."""
     mask = 0

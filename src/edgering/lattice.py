@@ -1,4 +1,4 @@
-"""Exact integer row lattices in echelon form, canonicalized on demand.
+"""Exact integer row lattices in echelon form.
 
 Everything here is pure-integer arithmetic on small dense vectors; Python
 ints never overflow, so no pivoting strategy or bound tracking is needed.
@@ -73,13 +73,13 @@ def _canonicalize(rows: list[list[int]], pivots: Sequence[int], dim: int) -> Non
 
 class IntegerLattice:
     """Sublattice of Z^dim, stored as echelon rows (strictly increasing pivot
-    columns), which rank, pivots, determinant, membership and kernel_of_form
-    read.  The canonical Hermite basis (each pivot positive, every entry
-    above a pivot reduced into [0, pivot)) is unique for the lattice; basis
-    computes it on first access, and equality and hashing compare it.
+    columns); it never changes after construction.  Membership, equality and
+    hashing rest on fills.  The canonical Hermite basis (each pivot positive,
+    every entry above a pivot reduced into [0, pivot)) is unique for the
+    lattice; basis computes it from a copy of the rows on each access.
     """
 
-    __slots__ = ("dim", "pivots", "_rows", "_basis")
+    __slots__ = ("dim", "pivots", "_rows")
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):
         if dim < 0:
@@ -91,15 +91,14 @@ class IntegerLattice:
             if len(vec) != dim:
                 raise ValueError(f"vector length {len(vec)} does not match dimension {dim}")
             _insert(rows, pivots, vec, dim)
-        self.dim, self.pivots, self._rows, self._basis = dim, tuple(pivots), rows, None
+        self.dim, self.pivots, self._rows = dim, tuple(pivots), rows
 
     @property
     def basis(self) -> tuple[IntVec, ...]:
-        """The canonical Hermite basis, computed in place on first access (it is echelon too)."""
-        if self._basis is None:
-            _canonicalize(self._rows, self.pivots, self.dim)
-            self._basis = tuple([tuple(r) for r in self._rows])
-        return self._basis
+        """The canonical Hermite basis, computed on a copy of the rows (it is echelon too)."""
+        rows = [list(r) for r in self._rows]
+        _canonicalize(rows, self.pivots, self.dim)
+        return tuple([tuple(r) for r in rows])
 
     @property
     def rank(self) -> int:
@@ -115,31 +114,26 @@ class IntegerLattice:
             raise ValueError("lattice is not full rank")
         return self.pivot_product()
 
+    def fills(self, outer: "IntegerLattice") -> bool:
+        """Whether this lattice, which must lie inside outer, equals it: both project
+        injectively onto their pivot columns, so they are equal exactly when those
+        columns and the index there (|product of pivots|) agree.
+        """
+        return self.pivots == outer.pivots and self.pivot_product() == outer.pivot_product()
+
     def __contains__(self, vec: Sequence[int]) -> bool:
-        v = list(vec)
-        if len(v) != self.dim:
-            raise ValueError(f"vector length {len(v)} does not match dimension {self.dim}")
-        for j in range(self.dim):
-            if v[j] == 0:
-                continue
-            pi = bisect_left(self.pivots, j)
-            if pi == len(self.pivots) or self.pivots[pi] != j:
-                return False
-            row = self._rows[pi]
-            if v[j] % row[j]:
-                return False
-            q = v[j] // row[j]
-            for k in range(j, self.dim):
-                v[k] -= q * row[k]
-        return True
+        return self.fills(IntegerLattice(self.dim, [*self._rows, vec]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerLattice):
             return NotImplemented
-        return self.dim == other.dim and self.basis == other.basis
+        if self.dim != other.dim:
+            return False
+        joint = IntegerLattice(self.dim, [*self._rows, *other._rows])
+        return self.fills(joint) and other.fills(joint)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.basis))
+        return hash((self.dim, self.pivots, self.pivot_product()))
 
     def __repr__(self) -> str:
         return f"IntegerLattice(dim={self.dim}, rank={self.rank})"
@@ -158,7 +152,7 @@ class IntegerLattice:
             _insert(rows, pivots, [sum(map(mul, coeffs, row))] + row, self.dim + 1)
         start = 1 if pivots and pivots[0] == 0 else 0
         ker = IntegerLattice.__new__(IntegerLattice)  # the rows are echelon: no re-insertion
-        ker.dim, ker.pivots, ker._basis = self.dim, tuple(j - 1 for j in pivots[start:]), None
+        ker.dim, ker.pivots = self.dim, tuple(j - 1 for j in pivots[start:])
         ker._rows = [r[1:] for r in rows[start:]]
         return ker
 

@@ -8,12 +8,11 @@ ring is regular in codimension one exactly when two exact conditions hold:
 2. the edge vectors on which the form vanishes generate, as a lattice, the
    full kernel of the form inside the group generated by all edge vectors.
 
-The zero-valued edge vectors lie in that kernel by construction, and a
-lattice inside another equals it exactly when both have the same echelon
-pivot columns and the same |product of pivots|: both project injectively onto
-those columns.  So condition 2 needs no canonical form, and the group identity
-needs no even-sum lattice: edge vectors have even coordinate sum, so their
-group fills that lattice exactly when it has its rank d and pivot product 2.
+The zero-valued edge vectors lie in that kernel by construction, so condition
+2 is :meth:`IntegerLattice.fills`: the same echelon pivot columns and the same
+|product of pivots|, with no canonical form.  Nor does the group identity need
+the even-sum lattice: edge vectors have even coordinate sum, so their group
+fills that lattice exactly when it has its rank d and pivot product 2.
 
 :func:`facet_conditions` evaluates both once per facet, against the monoid
 group a caller passes as ``group`` or else its own, into :class:`FacetCheck`
@@ -36,6 +35,7 @@ from .facets import FacetDescriptor, Fundamental, SupportForm, facet_forms
 # not called here; bench/tracer.py wraps oracle.support_form by that name
 from .facets import support_form  # noqa: F401
 from .graph import (
+    DisagreementError,
     Edge,
     Graph,
     UnsupportedError,
@@ -75,7 +75,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
         raise UnsupportedError("graph is bipartite; its edge vectors span a proper sublattice")
     lat = IntegerLattice(g.d, (edge_vector(e, g.d) for e in g.edges))
     if not _is_even_sum_lattice(lat):
-        raise RuntimeError("edge vectors did not span the even-sum lattice; internal error")
+        raise DisagreementError("edge vectors did not span the even-sum lattice; internal error")
     return lat
 
 
@@ -113,11 +113,6 @@ def _is_even_sum_lattice(lat: IntegerLattice) -> bool:
     return lat.rank == lat.dim and lat.pivot_product() == 2
 
 
-def _fills(sub: IntegerLattice, lat: IntegerLattice) -> bool:
-    # sub == lat for a sub known to lie inside lat (module docstring)
-    return sub.pivots == lat.pivots and sub.pivot_product() == lat.pivot_product()
-
-
 def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
     # integer values of denom * form on each edge vector, in edge order;
     # for a halved form every numerator must come out even (integrality of
@@ -126,7 +121,7 @@ def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
     c = form.coeffs
     nums = tuple([c[i - 1] + c[j - 1] for i, j in g.edges])
     if form.denom == 2 and any(v & 1 for v in nums):
-        raise RuntimeError("half-integral support value on an edge vector; internal error")
+        raise DisagreementError("half-integral support value on an edge vector; internal error")
     return nums
 
 
@@ -158,7 +153,7 @@ def facet_conditions(g: Graph, *, group: IntegerLattice | None = None) -> list[F
     for f, form in forms:
         values = _edge_numerators(g, form)
         zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
-        match = _fills(zero, group.kernel_of_form(form.coeffs))
+        match = zero.fills(group.kernel_of_form(form.coeffs))
         out.append(FacetCheck(f, values, zero, form.denom in values, match))
     return out
 

@@ -25,6 +25,7 @@ from .facets import (
 )
 from .graph import (
     Cycle,
+    DisagreementError,
     Graph,
     VertexSet,
     chordless_odd_cycles,
@@ -118,7 +119,7 @@ def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
     normal = occ is None
     ok, violations = satisfies_r1(g, early_exit=early_exit)
     if normal and not ok:
-        raise RuntimeError("normal graph failed the (R1) criterion; internal error")
+        raise DisagreementError("normal graph failed the (R1) criterion; internal error")
     if normal:
         notes = "normal hence Cohen-Macaulay"
     elif ok:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .facets import Fundamental
-from .graph import Graph, is_bipartite, is_connected, serialize_graph6
+from .graph import DisagreementError, Graph, is_bipartite, is_connected, serialize_graph6
 from .oracle import (
     facet_conditions,
     failing_facets,
@@ -30,8 +30,6 @@ class CrossCheck:
     """Outcome of all invariants on one graph."""
 
     graph6: str
-    d: int
-    n: int
     normal: bool
     r1: bool
     failures: tuple[str, ...]
@@ -55,7 +53,7 @@ def cross_check(g: Graph) -> CrossCheck:
     fails: list[str] = []
     try:
         group = monoid_group(g)
-    except RuntimeError:
+    except DisagreementError:
         group = None
         fails.append("monoid-group")
     t_ok, t_viols = satisfies_r1(g)
@@ -80,8 +78,6 @@ def cross_check(g: Graph) -> CrossCheck:
         fails.append("facet-support")
     return CrossCheck(
         graph6=serialize_graph6(g),
-        d=g.d,
-        n=g.n,
         normal=occ is None,
         r1=t_ok,
         failures=tuple(fails),

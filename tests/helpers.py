@@ -271,11 +271,11 @@ def connected_nonbipartite_graphs(draw, min_d: int = 3, max_d: int = 7) -> Graph
 
 
 class EagerLattice:
-    """The lattice as built before its canonical basis became lazy.
+    """The lattice as built before IntegerLattice kept echelon rows.
 
     Canonicalizes in the constructor, reads the canonical rows for
     determinant and membership, and builds two lattices in kernel_of_form.
-    The reference IntegerLattice's lazy form is compared against.
+    The reference IntegerLattice is compared against.
     """
 
     def __init__(self, dim: int, vectors=()):

@@ -208,6 +208,49 @@ def test_facets_bipartite_exits_3(tmp_path, capsys):
     assert "bipartite" in stderr
 
 
+@pytest.mark.parametrize("name, data", [("bad.el", b"3 3\n1 2\xff\n"), ("bad.g6", b"Bw\xff\n")])
+def test_non_utf8_input_exits_2(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, stdout, stderr = run_cli(capsys, "classify", str(path))
+    assert code == 2 and stdout == ""
+    assert "error:" in stderr
+
+
+@pytest.mark.parametrize("argv", [("oracle",), ("sweep", "--source")])
+def test_failed_group_identity_exits_4(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("edgering.oracle._is_even_sum_lattice", lambda lat: False)
+    path = tmp_path / "b2.g6"
+    path.write_text(serialize_graph6(bridge_graph(2)) + "\n")
+    code, stdout, stderr = run_cli(capsys, *argv, str(path))
+    assert code == 4
+    if argv == ("oracle",):
+        assert "error:" in stderr and "internal error" in stderr
+    else:
+        assert "disagreements: 1" in stdout and "monoid-group" in stdout
+
+
+def test_criterion_failing_a_normal_graph_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("edgering.serre.satisfies_r1", lambda g, early_exit=False: (False, []))
+    path = tmp_path / "k4.el"
+    path.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    code, stdout, stderr = run_cli(capsys, "classify", str(path))
+    assert code == 4 and stdout == ""
+    assert "error:" in stderr and "internal error" in stderr
+
+
+@pytest.mark.parametrize("error", [ValueError("stray"), RecursionError("deep")])
+def test_unexpected_errors_propagate(tmp_path, monkeypatch, error):
+    # only the documented exception types become exit codes; a bug surfaces
+    def broken(g, early_exit=False):
+        raise error
+
+    monkeypatch.setattr("edgering.cli.classify", broken)
+    path = bridge2_file(tmp_path)
+    with pytest.raises(type(error)):
+        main(["classify", str(path)])
+
+
 # ---------------------------------------------------------------------------
 # facets and oracle commands
 

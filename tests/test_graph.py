@@ -171,6 +171,27 @@ def test_parse_graph6_rejects_bad_bytes():
         parse_graph6("Bé")
 
 
+# digits, signs and whitespace of several scripts: int() accepts Unicode
+# decimal digits and underscores, and str.splitlines breaks at more than \n
+EDGE_LIST_ALPHABET = "0123456789+-_ \t\n\r\x0b\x0c\x1c\x85\u2028\u3000\u0663\u0967\uff12\u00b2"
+
+
+@given(st.text(alphabet=EDGE_LIST_ALPHABET))
+def test_parse_edge_list_raises_only_input_errors(text):
+    try:
+        parse_edge_list(text)
+    except (ParseError, UnsupportedError):
+        pass
+
+
+@given(st.binary())
+def test_parse_graph6_raises_only_input_errors(data):
+    try:
+        parse_graph6(data)
+    except (ParseError, UnsupportedError):
+        pass
+
+
 def test_parse_graph6_rejects_oversized():
     with pytest.raises(UnsupportedError):
         parse_graph6("~?@c")  # long-form vertex count 100

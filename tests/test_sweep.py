@@ -11,6 +11,7 @@ from edgering import (
     parse_graph6,
     run_sweep,
 )
+from conftest import DATA_DIR
 from helpers import nx_graph
 
 
@@ -18,7 +19,6 @@ def test_cross_check_clean_on_exhibits(bridge2, bridge1):
     for g in (bridge2, bridge1, bridge_graph(3)):
         result = cross_check(g)
         assert result.failures == ()
-        assert result.d == g.d and result.n == g.n
         assert parse_graph6(result.graph6) == [g]
     assert cross_check(bridge2).r1 and not cross_check(bridge2).normal
     assert not cross_check(bridge1).r1
@@ -115,3 +115,21 @@ def test_cross_check_builds_monoid_group_once(monkeypatch):
     g = bridge_graph(2)
     assert cross_check(g).failures == ()
     assert calls == [g]
+
+
+def test_cross_check_never_canonicalizes(monkeypatch):
+    # the sweep compares lattices by pivots and index alone, including the
+    # equality in verify_decomposition
+    import edgering.lattice
+
+    calls = []
+    original = edgering.lattice._canonicalize
+
+    def counted(*args):
+        calls.append(1)
+        original(*args)
+
+    monkeypatch.setattr(edgering.lattice, "_canonicalize", counted)
+    graphs = parse_graph6((DATA_DIR / "conn7_sample.g6").read_text())
+    assert all(cross_check(g).failures == () for g in graphs)
+    assert calls == []
