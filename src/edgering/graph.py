@@ -11,6 +11,7 @@ can be exponential, so some graphs under the cap remain slow.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -105,7 +106,9 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# edge-list format: header "d n", then n lines "i j"
+# edge-list format: header "d n", then n lines "i j", in ASCII decimal digits
+_INTEGER = re.compile(r"-?[0-9]+")  # int() alone also reads "+3", "1_0" and non-ASCII digits
+
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: a "d n" header then n lines "i j"."""
@@ -115,16 +118,15 @@ def parse_edge_list(text: str) -> Graph:
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError(f"line 1: expected header 'd n', got {lines[0]!r}")
-    try:
-        d, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(f"line 1: expected two integers, got {lines[0]!r}") from None
+    if not all(map(_INTEGER.fullmatch, header)):
+        raise ParseError(f"line 1: expected two integers, got {lines[0]!r}")
+    d, n = map(int, header)
     if d < 1:
         raise ParseError(f"line 1: vertex count must be positive, got {d}")
     if d > MAX_VERTICES:
         raise UnsupportedError(f"line 1: vertex count {d} exceeds the {MAX_VERTICES}-vertex bound")
-    if n < 0:
-        raise ParseError(f"line 1: edge count must be nonnegative, got {n}")
+    if header[1].startswith("-"):  # "-0" too
+        raise ParseError(f"line 1: edge count must be nonnegative, got {header[1]}")
     edges: list[Edge] = []
     seen: set[Edge] = set()
     ln = 1
@@ -138,10 +140,9 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {ln}: trailing data after {n} edges")
         if len(tokens) != 2:
             raise ParseError(f"line {ln}: expected edge 'i j', got {line!r}")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {ln}: expected two integers, got {line!r}") from None
+        if not all(map(_INTEGER.fullmatch, tokens)):
+            raise ParseError(f"line {ln}: expected two integers, got {line!r}")
+        i, j = map(int, tokens)
         if i == j:
             raise ParseError(f"line {ln}: loop at vertex {i}")
         if not (1 <= i <= d and 1 <= j <= d):
@@ -295,19 +296,30 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
     return comps
 
 
-def _odd_cycle_within(g: Graph, comp: VertexSet) -> Cycle | None:
+def odd_cycle_witness(g: Graph, s: VertexSet) -> Cycle | None:
+    """An odd cycle inside s, or None if the induced subgraph is bipartite.
+
+    s must be nonempty and induce a connected subgraph.  The returned cycle
+    is canonical: smallest vertex first, then the smaller neighbor.
+    """
+    if s == 0:
+        raise ValueError("empty vertex set")
+    if s & ~g.full:
+        raise ValueError("vertex set not within 1..d")
+    if not connected_within(g, s):
+        raise ValueError("vertex set does not induce a connected subgraph")
     # BFS 2-coloring of a connected vertex set; on a same-color edge, walk the
     # two tree paths up to their meet and splice the odd cycle together.
     d = g.d
     parent = [0] * d
     depth = [-1] * d
-    root = (comp & -comp).bit_length()
+    root = (s & -s).bit_length()
     depth[root - 1] = 0
     queue = deque([root])
     while queue:
         u = queue.popleft()
         du = depth[u - 1]
-        m = g.adj[u - 1] & comp
+        m = g.adj[u - 1] & s
         while m:
             low = m & -m
             m ^= low
@@ -334,23 +346,8 @@ def _odd_cycle_within(g: Graph, comp: VertexSet) -> Cycle | None:
     return None
 
 
-def odd_cycle_witness(g: Graph, s: VertexSet) -> Cycle | None:
-    """An odd cycle inside s, or None if the induced subgraph is bipartite.
-
-    s must be nonempty and induce a connected subgraph.  The returned cycle
-    is canonical: smallest vertex first, then the smaller neighbor.
-    """
-    if s == 0:
-        raise ValueError("empty vertex set")
-    if s & ~g.full:
-        raise ValueError("vertex set not within 1..d")
-    if not connected_within(g, s):
-        raise ValueError("vertex set does not induce a connected subgraph")
-    return _odd_cycle_within(g, s)
-
-
 def is_bipartite(g: Graph) -> bool:
-    return all(_odd_cycle_within(g, c) is None for c in connected_components(g))
+    return not any(every_component_nonbipartite(g, c) for c in connected_components(g))
 
 
 def every_component_nonbipartite(g: Graph, within: VertexSet) -> bool:

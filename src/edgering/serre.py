@@ -1,11 +1,12 @@
 """Serre's condition (R1) and normality for edge rings, by graph criteria.
 
 The edge ring of a connected nonbipartite graph satisfies (R1) exactly when
-every facet of the edge polytope keeps its connectivity condition:
+every facet of the edge polytope keeps the connectivity condition that
+facet_connectivity_holds decides, away from the facet's vertex or set:
 
 * for a regular vertex i, deleting i leaves the graph connected;
-* for a fundamental set T, either T and N(T) exhaust the vertex set or the
-  subgraph induced away from T and N(T) is connected.
+* for a fundamental set T, the subgraph induced away from T and N(T) is
+  empty or connected.
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
@@ -15,6 +16,7 @@ graph the edge ring is always normal, hence both hold trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .facets import (
     FacetDescriptor,
@@ -27,7 +29,6 @@ from .graph import (
     Cycle,
     DisagreementError,
     Graph,
-    VertexSet,
     chordless_odd_cycles,
     connected_within,
     is_bipartite,
@@ -52,20 +53,13 @@ def satisfies_odd_cycle_condition(g: Graph) -> tuple[Cycle, Cycle] | None:
     return None
 
 
-def _vertex_condition(g: Graph, v: int) -> bool:
-    return connected_within(g, g.full & ~(1 << (v - 1)))
-
-
-def _set_condition(g: Graph, t: VertexSet) -> bool:
-    tn = t | neighborhood(g, t)
-    return tn == g.full or connected_within(g, g.full & ~tn)
-
-
 def facet_connectivity_holds(g: Graph, f: FacetDescriptor) -> bool:
     """The per-facet connectivity condition of the (R1) criterion."""
     if isinstance(f, RegularVertex):
-        return _vertex_condition(g, f.vertex)
-    return _set_condition(g, f.mask)
+        rest = g.full & ~(1 << (f.vertex - 1))
+    else:
+        rest = g.full & ~(f.mask | neighborhood(g, f.mask))
+    return not rest or connected_within(g, rest)
 
 
 def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[FacetDescriptor]]:
@@ -80,16 +74,13 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     if is_bipartite(g):
         return (True, [])
     violations: list[FacetDescriptor] = []
-    for v in regular_vertices(g):
-        if not _vertex_condition(g, v):
-            violations.append(RegularVertex(v))
+    for f in chain(
+        map(RegularVertex, regular_vertices(g)), map(Fundamental, iter_fundamental_sets(g))
+    ):
+        if not facet_connectivity_holds(g, f):
+            violations.append(f)
             if early_exit:
-                return (False, violations)
-    for t in iter_fundamental_sets(g):
-        if not _set_condition(g, t):
-            violations.append(Fundamental(t))
-            if early_exit:
-                return (False, violations)
+                break
     return (not violations, violations)
 
 
@@ -105,19 +96,10 @@ class ClassificationReport:
 
 def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
     """Full report for a connected graph: normality, (R1), and witnesses."""
-    require_connected(g)
-    if is_bipartite(g):
-        return ClassificationReport(
-            bipartite=True,
-            normal=True,
-            r1=True,
-            r1_violations=(),
-            occ_violation=None,
-            notes="normal hence Cohen-Macaulay",
-        )
-    occ = satisfies_odd_cycle_condition(g)
-    normal = occ is None
     ok, violations = satisfies_r1(g, early_exit=early_exit)
+    bipartite = is_bipartite(g)
+    occ = None if bipartite else satisfies_odd_cycle_condition(g)
+    normal = occ is None
     if normal and not ok:
         raise DisagreementError("normal graph failed the (R1) criterion; internal error")
     if normal:
@@ -127,7 +109,7 @@ def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
     else:
         notes = ""
     return ClassificationReport(
-        bipartite=False,
+        bipartite=bipartite,
         normal=normal,
         r1=ok,
         r1_violations=tuple(violations),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -119,6 +120,10 @@ def test_parse_edge_list_roundtrip(bridge2):
         ("3 2\n1 2\n\n2 3\n", "blank line"),
         ("0 0\n", "positive"),
         ("3 -1\n", "nonnegative"),
+        ("3 -0\n", "nonnegative"),
+        ("3 2\n1 2\n2 +3\n", "two integers"),
+        ("3 2\n1 2\n1 \u0663\n", "two integers"),
+        ("1_0 1\n1 2\n", "two integers"),
     ],
 )
 def test_parse_edge_list_rejects(text, pattern):
@@ -176,12 +181,28 @@ def test_parse_graph6_rejects_bad_bytes():
 EDGE_LIST_ALPHABET = "0123456789+-_ \t\n\r\x0b\x0c\x1c\x85\u2028\u3000\u0663\u0967\uff12\u00b2"
 
 
-@given(st.text(alphabet=EDGE_LIST_ALPHABET))
+@st.composite
+def respelled_edge_lists(draw):
+    # a valid edge list whose numbers may be written in the other forms that
+    # int() reads: a sign, a leading zero and underscore, or Arabic-Indic digits
+    g = draw(graphs())
+    arabic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    forms = [str, "+{}".format, "0_{}".format, lambda k: str(k).translate(arabic)]
+
+    def spell(k):
+        return draw(st.sampled_from(forms))(k)
+
+    return "".join(f"{spell(a)} {spell(b)}\n" for a, b in [(g.d, g.n), *g.edges])
+
+
+@given(st.one_of(st.text(alphabet=EDGE_LIST_ALPHABET), respelled_edge_lists()))
 def test_parse_edge_list_raises_only_input_errors(text):
     try:
         parse_edge_list(text)
     except (ParseError, UnsupportedError):
-        pass
+        return
+    # accepted input is written in unsigned ASCII decimal numbers only
+    assert all(re.fullmatch("[0-9]+", token) for token in text.split())
 
 
 @given(st.binary())
@@ -271,6 +292,15 @@ def test_is_bipartite():
     assert is_bipartite(complete_bipartite_graph(2, 3))
     assert not is_bipartite(complete_graph(3))
     assert is_bipartite(Graph(3, ()))
+    # a triangle beside a separate edge
+    assert not is_bipartite(Graph(5, ((1, 2), (1, 3), (2, 3), (4, 5))))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_is_bipartite_matches_networkx(d):
+    # every labelled graph, disconnected ones included
+    for g in labelled_graphs(d):
+        assert is_bipartite(g) == nx.is_bipartite(nx_graph(g)), g
 
 
 def test_odd_cycle_witness(bridge2):

@@ -38,3 +38,28 @@ def test_no_except_clause_catches_broad_errors():
             if node.type is None or names & broad:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # bench/tracer.py wraps oracle.support_form by that name, so oracle.py
+    # keeps the import although it never calls it
+    allowed = {("oracle.py", "support_form")}
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [
+            f"{path.name}: {name}"
+            for name in sorted(imported - used)
+            if (path.name, name) not in allowed
+        ]
+    assert offenders == []

@@ -139,6 +139,18 @@ def test_classify_bipartite_shortcut():
     assert classify(Graph(2, ((1, 2),))).r1
 
 
+@pytest.mark.parametrize(
+    "g", [complete_bipartite_graph(2, 3), cycle_graph(6), Graph(1, ())], ids=repr
+)
+def test_classify_bipartite_skips_odd_cycle_search(g, monkeypatch):
+    def searched(h):
+        raise AssertionError("odd cycle search on a bipartite graph")
+
+    monkeypatch.setattr("edgering.serre.satisfies_odd_cycle_condition", searched)
+    report = classify(g)
+    assert report.bipartite and report.normal and report.occ_violation is None
+
+
 def test_classify_normal_nonbipartite():
     report = classify(complete_graph(4))
     assert not report.bipartite
