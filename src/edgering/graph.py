@@ -107,7 +107,20 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # edge-list format: header "d n", then n lines "i j", in ASCII decimal digits
-_INTEGER = re.compile(r"-?[0-9]+")  # int() alone also reads "+3", "1_0" and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _two_integers(tokens: list[str], ln: int, line: str, shape: str) -> tuple[int, int]:
+    # int() alone also reads "+3", "1_0" and non-ASCII digits, and raises
+    # ValueError past the interpreter's digit limit (4300 digits by default)
+    if len(tokens) != 2:
+        raise ParseError(f"line {ln}: expected {shape}, got {line!r}")
+    try:
+        if all(map(_INTEGER.fullmatch, tokens)):
+            return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        pass
+    raise ParseError(f"line {ln}: expected two integers, got {line!r}")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -116,11 +129,7 @@ def parse_edge_list(text: str) -> Graph:
     if not lines or not lines[0].split():
         raise ParseError("empty input")
     header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"line 1: expected header 'd n', got {lines[0]!r}")
-    if not all(map(_INTEGER.fullmatch, header)):
-        raise ParseError(f"line 1: expected two integers, got {lines[0]!r}")
-    d, n = map(int, header)
+    d, n = _two_integers(header, 1, lines[0], "header 'd n'")
     if d < 1:
         raise ParseError(f"line 1: vertex count must be positive, got {d}")
     if d > MAX_VERTICES:
@@ -138,11 +147,7 @@ def parse_edge_list(text: str) -> Graph:
             break
         if len(edges) == n:
             raise ParseError(f"line {ln}: trailing data after {n} edges")
-        if len(tokens) != 2:
-            raise ParseError(f"line {ln}: expected edge 'i j', got {line!r}")
-        if not all(map(_INTEGER.fullmatch, tokens)):
-            raise ParseError(f"line {ln}: expected two integers, got {line!r}")
-        i, j = map(int, tokens)
+        i, j = _two_integers(tokens, ln, line, "edge 'i j'")
         if i == j:
             raise ParseError(f"line {ln}: loop at vertex {i}")
         if not (1 <= i <= d and 1 <= j <= d):

@@ -124,6 +124,9 @@ def test_parse_edge_list_roundtrip(bridge2):
         ("3 2\n1 2\n2 +3\n", "two integers"),
         ("3 2\n1 2\n1 \u0663\n", "two integers"),
         ("1_0 1\n1 2\n", "two integers"),
+        # int() refuses more than 4300 digits by default
+        pytest.param("1" * 5000 + " 0\n", "two integers", id="header-past-int-digit-limit"),
+        pytest.param("3 1\n1 " + "2" * 5000 + "\n", "two integers", id="edge-past-int-digit-limit"),
     ],
 )
 def test_parse_edge_list_rejects(text, pattern):
