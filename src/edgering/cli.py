@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input or bad parameters, 3 well-formed
-but unsupported input (disconnected graph, too many vertices, bipartite
-graph where facet data is required), 4 internal disagreement between the
-connectivity criterion and the lattice oracle.  Any other exception is a bug
-and surfaces with its traceback.
+Exit codes: 0 success, 2 malformed input or bad parameters, or a file that
+cannot be read or written, 3 well-formed but unsupported input (disconnected
+graph, too many vertices, bipartite graph where facet data is required), 4
+internal disagreement between the connectivity criterion and the lattice
+oracle.  Any other exception is a bug and surfaces with its traceback.
 """
 
 from __future__ import annotations

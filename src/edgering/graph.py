@@ -336,12 +336,7 @@ def odd_cycle_witness(g: Graph, s: VertexSet) -> Cycle | None:
             elif (depth[w - 1] ^ du) & 1 == 0:
                 a, b = u, w
                 pa, pb = [a], [b]
-                while depth[a - 1] > depth[b - 1]:
-                    a = parent[a - 1]
-                    pa.append(a)
-                while depth[b - 1] > depth[a - 1]:
-                    b = parent[b - 1]
-                    pb.append(b)
+                # equal depths: BFS neighbours differ by at most 1, and these share parity
                 while a != b:
                     a = parent[a - 1]
                     pa.append(a)

@@ -27,7 +27,6 @@ than rounded.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +38,6 @@ from .graph import (
     Edge,
     Graph,
     UnsupportedError,
-    VertexSet,
     connected_components,
     is_bipartite,
     members,
@@ -178,40 +176,31 @@ def verify_facet_rank(g: Graph, check: FacetCheck) -> bool:
     return 0 in check.values and min(check.values) >= 0 and check.zero.rank == g.d - 1
 
 
-def _bipartite_tree_edges(g: Graph, t: VertexSet, nb: VertexSet) -> list[Edge]:
-    # BFS spanning tree of the connected bipartite subgraph on t | nb,
-    # using only edges between t and nb
-    start = (t & -t).bit_length()
-    seen = t & -t
-    queue = deque([start])
-    tree = []
-    while queue:
-        u = queue.popleft()
-        side = nb if t >> (u - 1) & 1 else t
-        m = g.adj[u - 1] & side & ~seen
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length()
-            seen |= low
-            tree.append((u, w) if u < w else (w, u))
-            queue.append(w)
-    return tree
-
-
 def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     """Structural identity behind condition 2 at a fundamental set T.
 
-    The zero-valued edge vectors (the record's zero lattice) must generate
-    the same lattice as the even-sum lattices of the components away from
-    T and N(T), embedded coordinatewise, together with the edge vectors of
-    a spanning tree of the T-to-N(T) bipartite subgraph.
+    The record's zero lattice must equal D, whose two blocks are written in
+    closed form: the vectors on T and N(T) whose sums over T and over N(T)
+    agree, and the even-sum lattice of each component away from T and N(T).
+    For an independent T the zero lattice is the edge lattice of the T-to-N(T)
+    part plus those of the rest components, so a vertex set meets the
+    identity exactly when it is fundamental.
     """
     if not isinstance(check.facet, Fundamental):
         raise ValueError("not a fundamental set")
     t = check.facet.mask
     nb = neighborhood(g, t)
-    gens: list[Sequence[int]] = [edge_vector(e, g.d) for e in _bipartite_tree_edges(g, t, nb)]
+    if t & nb:
+        return False  # not independent, so not a fundamental set
+    # consecutive members a < b of T and N(T): e_a + e_b across the two sides,
+    # e_a - e_b within one; each vector has its own pivot column a
+    part = members(t | nb)
+    gens: list[Sequence[int]] = []
+    for a, b in zip(part, part[1:]):
+        vec = [0] * g.d
+        vec[a - 1] = 1
+        vec[b - 1] = 1 if (t >> (a - 1) ^ t >> (b - 1)) & 1 else -1
+        gens.append(vec)
     for comp in connected_components(g, g.full & ~(t | nb)):
         vs = members(comp)
         gens += [edge_vector(pair, g.d) for pair in zip(vs, vs[1:])]

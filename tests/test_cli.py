@@ -184,6 +184,14 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in stderr
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.el"
+    code, stdout, stderr = run_cli(capsys, "generate", "cycle", "--n", "3", "--out", str(out))
+    assert code == 2
+    assert "error:" in stderr
+    assert stdout == ""
+
+
 def test_disconnected_exits_3(tmp_path, capsys):
     path = tmp_path / "disc.el"
     path.write_text("4 2\n1 2\n3 4\n")

@@ -63,3 +63,29 @@ def test_no_module_imports_a_name_it_never_uses():
             if (path.name, name) not in allowed
         ]
     assert offenders == []
+
+
+def test_every_private_module_name_is_used_in_its_module():
+    # a private name serves its own module only, so one never loaded there is
+    # a helper left behind by a refactor
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        offenders += [
+            f"{path.name}: {name}"
+            for name in sorted(defined - loaded)
+            if name.startswith("_") and not name.startswith("__")
+        ]
+    assert offenders == []

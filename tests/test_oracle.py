@@ -10,6 +10,8 @@ from edgering import (
     is_bipartite,
     is_connected,
     labelled_graphs,
+    members,
+    neighborhood,
     parse_graph6,
     Fundamental,
     Graph,
@@ -35,6 +37,7 @@ from edgering import (
 )
 from conftest import DATA_DIR
 from helpers import (
+    brute_fundamental,
     connected_nonbipartite_graphs,
     diff_lattice_facet_rank,
     random_connected_nonbipartite,
@@ -228,6 +231,28 @@ def test_verify_checks_reject_wrong_records(bridge1):
     assert not verify_facet_rank(bridge1, negative)
     assert verify_facet_rank(bridge1, check)
     assert not verify_facet_rank(bridge1, dataclasses.replace(check, zero=IntegerLattice(7, [])))
+
+
+def test_verify_decomposition_holds_exactly_at_fundamental_sets():
+    # every nonempty vertex set T, with the record T's form would give: -1 on
+    # T, +1 on the rest of N(T), and the lattice of the zero-valued edge vectors.
+    # This reaches disconnected T-to-N(T) parts, bipartite rest components
+    # and non-independent masks, which no facet record does
+    sets_seen = 0
+    for d in range(1, 6):
+        for g in labelled_graphs(d):
+            if not is_connected(g) or is_bipartite(g):
+                continue
+            vectors = [edge_vector(e, d) for e in g.edges]
+            for t in range(1, 1 << d):
+                nb = neighborhood(g, t)
+                coeffs = [-1 if t >> v & 1 else nb >> v & 1 for v in range(d)]
+                values = tuple(coeffs[i - 1] + coeffs[j - 1] for i, j in g.edges)
+                zero = IntegerLattice(d, [vec for vec, v in zip(vectors, values) if v == 0])
+                check = FacetCheck(Fundamental(t), values, zero, 1 in values, False)
+                assert verify_decomposition(g, check) == brute_fundamental(g, frozenset(members(t)))
+                sets_seen += 1
+    assert sets_seen == 16815
 
 
 @given(connected_nonbipartite_graphs(max_d=5))
