@@ -12,7 +12,6 @@ from .facets import (
     RegularVertex,
     SupportForm,
     facet_forms,
-    facet_sort_key,
     facets,
     is_fundamental,
     is_regular_vertex,
@@ -52,7 +51,7 @@ from .graph import (
     spanning_tree_edges,
     vset,
 )
-from .lattice import IntegerLattice, even_sum_lattice, xgcd
+from .lattice import IntegerLattice, xgcd
 from .oracle import (
     FacetCheck,
     edge_vector,

@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input or bad parameters, or a file that
-cannot be read or written, 3 well-formed but unsupported input (disconnected
-graph, too many vertices, bipartite graph where facet data is required), 4
-internal disagreement between the connectivity criterion and the lattice
-oracle.  Any other exception is a bug and surfaces with its traceback.
+Exit codes: 0 success, 2 malformed input, bad parameters or a file that cannot
+be read or written, 3 well-formed but unsupported input (disconnected graph,
+too many vertices, bipartite graph where facet data is required), 4 the two
+(R1) routes disagree, 141 (128 + SIGPIPE) stdout was closed by its reader.
+Any other exception is a bug and surfaces with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -257,10 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         checked = normal = r1 = 0
         for d in range(1, args.max_vertices + 1):
             summary = run_sweep(labelled_graphs(d))
-            print(
-                f"d={d}: checked={summary.checked} "
-                f"normal={summary.normal} r1={summary.r1}"
-            )
+            print(f"d={d}: checked={summary.checked} normal={summary.normal} r1={summary.r1}")
             checked += summary.checked
             normal += summary.normal
             r1 += summary.r1
@@ -332,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="exhaustive cross-check over small graphs")
-    p.add_argument("--max-vertices", type=int, default=5, help="1..7 (default 5)")
-    p.add_argument("--source", help="graph6 file to sweep instead of all graphs")
+    graphs = p.add_mutually_exclusive_group()  # a str default: an explicit 5 still conflicts
+    graphs.add_argument("--max-vertices", type=int, default="5", help="1..7 (default 5)")
+    graphs.add_argument("--source", help="graph6 file to sweep instead of all graphs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("generate", help="write a named family member as an edge list")
@@ -354,7 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:  # stdout to devnull, so that the flush at exit writes nothing
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status a shell gives a writer the signal ended
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -364,6 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
+    return status
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ set, halved when T and N(T) exhaust the vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .graph import (
     Graph,
@@ -56,7 +55,7 @@ FacetDescriptor = Union[RegularVertex, Fundamental]
 
 @dataclass(frozen=True)
 class SupportForm:
-    """Integer linear form with denominator 1 or 2, evaluated exactly."""
+    """Integer linear form with denominator 1 or 2: the form is coeffs / denom."""
 
     coeffs: tuple[int, ...]
     denom: int
@@ -66,16 +65,6 @@ class SupportForm:
             raise ValueError(f"denominator must be 1 or 2, got {self.denom}")
         if not any(self.coeffs):
             raise ValueError("zero form")
-
-    def value(self, vec: Sequence[int]) -> Fraction:
-        return Fraction(sum(c * x for c, x in zip(self.coeffs, vec)), self.denom)
-
-
-def facet_sort_key(f: FacetDescriptor) -> tuple:
-    """Regular vertices by label first, then fundamental sets lexicographically."""
-    if isinstance(f, RegularVertex):
-        return (0, (f.vertex,))
-    return (1, f.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +167,8 @@ def support_form(g: Graph, f: FacetDescriptor) -> SupportForm:
 
 
 def facets(g: Graph) -> list[FacetDescriptor]:
-    """All facet descriptors of the edge polytope, in facet_sort_key order.
+    """All facet descriptors of the edge polytope: the regular vertices by
+    label, then the fundamental sets in lexicographic order.
 
     Requires a connected nonbipartite graph; the facet description below
     two dimensions degenerates otherwise.

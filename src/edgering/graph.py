@@ -98,9 +98,6 @@ class Graph:
         """Bitmask of the whole vertex set."""
         return (1 << self.d) - 1
 
-    def neighbors(self, v: int) -> VertexSet:
-        return self.adj[v - 1]
-
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i - 1] >> (j - 1) & 1)
 

@@ -56,27 +56,10 @@ def _insert(rows: list[list[int]], pivots: list[int], vec: list[int], dim: int) 
                 vec[k] = ag * vk - bg * rk
 
 
-def _canonicalize(rows: list[list[int]], pivots: Sequence[int], dim: int) -> None:
-    for idx, j in enumerate(pivots):
-        if rows[idx][j] < 0:
-            rows[idx] = [-x for x in rows[idx]]
-    for idx, j in enumerate(pivots):
-        prow = rows[idx]
-        a = prow[j]
-        for above in range(idx):
-            r = rows[above]
-            q = r[j] // a  # floor division leaves the entry in [0, a)
-            if q:
-                for k in range(j, dim):
-                    r[k] -= q * prow[k]
-
-
 class IntegerLattice:
     """Sublattice of Z^dim, stored as echelon rows (strictly increasing pivot
-    columns); it never changes after construction.  Membership, equality and
-    hashing rest on fills.  The canonical Hermite basis (each pivot positive,
-    every entry above a pivot reduced into [0, pivot)) is unique for the
-    lattice; basis computes it from a copy of the rows on each access.
+    columns); it never changes after construction.  Equality and hashing rest
+    on fills.
     """
 
     __slots__ = ("dim", "pivots", "_rows")
@@ -94,13 +77,6 @@ class IntegerLattice:
         self.dim, self.pivots, self._rows = dim, tuple(pivots), rows
 
     @property
-    def basis(self) -> tuple[IntVec, ...]:
-        """The canonical Hermite basis, computed on a copy of the rows (it is echelon too)."""
-        rows = [list(r) for r in self._rows]
-        _canonicalize(rows, self.pivots, self.dim)
-        return tuple([tuple(r) for r in rows])
-
-    @property
     def rank(self) -> int:
         return len(self._rows)
 
@@ -108,21 +84,12 @@ class IntegerLattice:
         """|product of the echelon pivots|: the index of the projection onto the pivot columns."""
         return abs(prod(row[j] for row, j in zip(self._rows, self.pivots)))
 
-    def determinant(self) -> int:
-        """Index in Z^dim (|product of pivots|); requires full rank."""
-        if self.rank != self.dim:
-            raise ValueError("lattice is not full rank")
-        return self.pivot_product()
-
     def fills(self, outer: "IntegerLattice") -> bool:
         """Whether this lattice, which must lie inside outer, equals it: both project
         injectively onto their pivot columns, so they are equal exactly when those
         columns and the index there (|product of pivots|) agree.
         """
         return self.pivots == outer.pivots and self.pivot_product() == outer.pivot_product()
-
-    def __contains__(self, vec: Sequence[int]) -> bool:
-        return self.fills(IntegerLattice(self.dim, [*self._rows, vec]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerLattice):
@@ -156,18 +123,3 @@ class IntegerLattice:
         ker._rows = [r[1:] for r in rows[start:]]
         return ker
 
-
-def even_sum_lattice(d: int) -> IntegerLattice:
-    """All integer vectors in Z^d with even coordinate sum."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    gens = []
-    for i in range(d - 1):
-        v = [0] * d
-        v[i] = 1
-        v[d - 1] = 1
-        gens.append(v)
-    last = [0] * d
-    last[d - 1] = 2
-    gens.append(last)
-    return IntegerLattice(d, gens)

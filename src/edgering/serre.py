@@ -66,8 +66,9 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     """Decide (R1) for the edge ring of a connected graph.
 
     Returns (verdict, violations) where the violations are the facet
-    descriptors whose connectivity condition fails, in facet_sort_key
-    order.  Bipartite graphs are normal and pass with no violations.
+    descriptors whose connectivity condition fails: regular vertices by
+    label, then fundamental sets in lexicographic order.  Bipartite graphs
+    are normal and pass with no violations.
     With early_exit the search stops at the first violation.
     """
     require_connected(g)

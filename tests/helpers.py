@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -25,7 +26,6 @@ from edgering import (
     odd_cycle_witness,
     vset,
 )
-from edgering.lattice import _canonicalize, _insert
 
 
 def nx_graph(g: Graph) -> nx.Graph:
@@ -273,19 +273,39 @@ def connected_nonbipartite_graphs(draw, min_d: int = 3, max_d: int = 7) -> Graph
 class EagerLattice:
     """The lattice as built before IntegerLattice kept echelon rows.
 
-    Canonicalizes in the constructor, reads the canonical rows for
+    Reduces its generators to the canonical Hermite basis in the constructor,
+    by row-Euclid steps that share no code with IntegerLattice: column by
+    column, subtract multiples of the row with the smallest nonzero |entry|
+    from the others until one row is left there, make its pivot positive and
+    reduce the entries above it into [0, pivot).  Reads that basis for
     determinant and membership, and builds two lattices in kernel_of_form.
     The reference IntegerLattice is compared against.
     """
 
     def __init__(self, dim: int, vectors=()):
-        rows: list[list[int]] = []
+        rows = [list(v) for v in vectors]
+        basis: list[list[int]] = []
         pivots: list[int] = []
-        for v in vectors:
-            _insert(rows, pivots, list(v), dim)
-        _canonicalize(rows, pivots, dim)
+        for j in range(dim):
+            live = [r for r in rows if r[j]]
+            while len(live) > 1:
+                p = min(live, key=lambda r: abs(r[j]))
+                for r in live:
+                    if r is not p:
+                        q = r[j] // p[j]
+                        r[:] = [a - q * b for a, b in zip(r, p)]
+                live = [r for r in live if r[j]]
+            if not live:
+                continue
+            rows = [r for r in rows if r is not live[0]]
+            p = live[0] if live[0][j] > 0 else [-a for a in live[0]]
+            for b in basis:
+                q = b[j] // p[j]
+                b[:] = [a - q * c for a, c in zip(b, p)]
+            basis.append(p)
+            pivots.append(j)
         self.dim = dim
-        self.basis = tuple(tuple(r) for r in rows)
+        self.basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
 
     @property
@@ -326,6 +346,18 @@ class EagerLattice:
         tmp = EagerLattice(self.dim + 1, aug)
         kept = [row[1:] for row in tmp.basis if row[0] == 0]
         return EagerLattice(self.dim, kept)
+
+
+def even_sum_generators(d: int) -> list[list[int]]:
+    """e_i + e_d for i < d, and 2 e_d: the Hermite basis of the vectors in
+    Z^d with even coordinate sum."""
+    gens = [[1 if k in (i, d - 1) else 0 for k in range(d)] for i in range(d - 1)]
+    return gens + [[2 if k == d - 1 else 0 for k in range(d)]]
+
+
+def form_value(form, vec) -> Fraction:
+    """A support form evaluated exactly on a vector: sum c * x over denom."""
+    return Fraction(sum(c * x for c, x in zip(form.coeffs, vec)), form.denom)
 
 
 def diff_lattice_facet_rank(g: Graph, check: FacetCheck) -> bool:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import edgering
 from edgering import Graph, bridge_graph, classify, serialize_edge_list, serialize_graph6
 from edgering.cli import main, report_from_dict, report_to_dict
 
@@ -363,10 +368,41 @@ def test_sweep_source(tmp_path, capsys, bridge2):
 
 
 def test_sweep_corpus(capsys, corpus7_path):
-    code, stdout, _ = run_cli(capsys, "sweep", "--source", str(corpus7_path), "--max-vertices", "1")
+    code, stdout, _ = run_cli(capsys, "sweep", "--source", str(corpus7_path))
     assert code == 0
     assert "checked=350" in stdout
     assert "disagreements: 0" in stdout
+
+
+@pytest.mark.parametrize("n", ["99", "5"])
+def test_sweep_rejects_source_with_max_vertices(capsys, corpus7_path, n):
+    # the graphs come from a file or from all labelled graphs, never both;
+    # an explicit 5, the default, conflicts as well
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--source", str(corpus7_path), "--max-vertices", n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-vertices: not allowed with argument --source" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# a closed output pipe
+
+@pytest.mark.parametrize("name", ["conn7_sample.g6", "conn7.g6"])
+def test_closed_stdout_exits_141_quietly(name):
+    # the reader is gone before the first write; the small output fails at the
+    # final flush, the large one inside the print loop
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(edgering.__file__).parents[1]))
+    argv = [sys.executable, "-m", "edgering.cli", "classify", str(DATA_DIR / name), "--json"]
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from edgering import (
     complete_graph,
     cycle_graph,
     facet_forms,
-    facet_sort_key,
     facets,
     is_bipartite,
     is_connected,
@@ -33,6 +32,7 @@ from helpers import (
     brute_fundamental_sets,
     brute_regular_vertex,
     connected_nonbipartite_graphs,
+    form_value,
     independent_set_scan_fundamental_sets,
     random_connected_nonbipartite,
     random_graph,
@@ -189,23 +189,23 @@ def test_support_form_regular_vertex(bridge2):
     form = support_form(bridge2, RegularVertex(7))
     assert form.coeffs == (0, 0, 0, 0, 0, 0, 1, 0)
     assert form.denom == 1
-    assert form.value((1, 1, 0, 0, 0, 0, 0, 0)) == 0
-    assert form.value((0, 0, 1, 0, 0, 0, 1, 0)) == 1
+    assert form_value(form, (1, 1, 0, 0, 0, 0, 0, 0)) == 0
+    assert form_value(form, (0, 0, 1, 0, 0, 0, 1, 0)) == 1
 
 
 def test_support_form_fundamental_exhausting():
     form = support_form(complete_graph(3), Fundamental(vset([1])))
     assert form.coeffs == (-1, 1, 1)
     assert form.denom == 2
-    assert form.value((0, 1, 1)) == 1
-    assert form.value((1, 1, 0)) == 0
+    assert form_value(form, (0, 1, 1)) == 1
+    assert form_value(form, (1, 1, 0)) == 0
 
 
 def test_support_form_fundamental_not_exhausting(bridge2):
     form = support_form(bridge2, Fundamental(vset([1])))
     assert form.coeffs == (-1, 1, 1, 0, 0, 0, 0, 0)
     assert form.denom == 1
-    assert form.value((0, 0, 1, 0, 0, 0, 1, 0)) == 1
+    assert form_value(form, (0, 0, 1, 0, 0, 0, 1, 0)) == 1
 
 
 def test_support_form_validates(bridge2):
@@ -222,7 +222,7 @@ def test_support_form_type_invariants():
         SupportForm((1, 0), 3)
     with pytest.raises(ValueError, match="zero form"):
         SupportForm((0, 0), 1)
-    assert SupportForm((1, -1), 2).value((1, 0)) == Fraction(1, 2)
+    assert form_value(SupportForm((1, -1), 2), (1, 0)) == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,10 @@ def test_facets_bridge2(bridge2):
     assert len(fs) == 17
     assert fs[:6] == [RegularVertex(v) for v in (1, 2, 5, 6, 7, 8)]
     assert Fundamental(vset([3, 4])) in fs
-    assert fs == sorted(fs, key=facet_sort_key)
+    # regular vertices by label, then fundamental sets in lexicographic order
+    regular = [f for f in fs if isinstance(f, RegularVertex)]
+    assert regular == sorted(regular, key=lambda f: f.vertex)
+    assert fs == regular + sorted(set(fs) - set(regular), key=lambda f: f.vertices)
 
 
 def test_facets_small():
@@ -275,7 +278,7 @@ def test_facet_forms_support_the_generators(g):
 
     for f in facets(g):
         form = support_form(g, f)
-        values = [form.value(edge_vector(e, g.d)) for e in g.edges]
+        values = [form_value(form, edge_vector(e, g.d)) for e in g.edges]
         assert all(v >= 0 for v in values)
         assert any(v == 0 for v in values)
         assert any(v == 1 for v in values)

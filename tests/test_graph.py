@@ -64,7 +64,7 @@ def test_graph_normalizes_edges():
     assert g.n == 2
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(2, 3)
-    assert g.neighbors(1) == vset([2, 3])
+    assert g.adj[0] == vset([2, 3])
 
 
 def test_graph_equality_ignores_edge_order():

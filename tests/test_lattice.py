@@ -5,8 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgering import IntegerLattice, even_sum_lattice, xgcd
-from helpers import EagerLattice
+from edgering import IntegerLattice, xgcd
+from helpers import EagerLattice, even_sum_generators
+
+
+def is_member(dim, gens, vec):
+    # v lies in the lattice exactly when adding it as a generator changes nothing
+    return IntegerLattice(dim, [*gens, vec]) == IntegerLattice(dim, gens)
+
+
+def assert_hermite(dim, gens, expected):
+    # the reference reduces gens to the expected canonical basis, and
+    # IntegerLattice builds the same lattice with the same pivot columns
+    ref = EagerLattice(dim, gens)
+    assert ref.basis == expected
+    lat = IntegerLattice(dim, gens)
+    assert lat == IntegerLattice(dim, expected)
+    assert lat.pivots == ref.pivots
 
 
 # ---------------------------------------------------------------------------
@@ -29,62 +44,59 @@ def test_xgcd_zero():
 # Hermite form goldens
 
 def test_hnf_golden_even_pair_lattice():
-    lat = IntegerLattice(2, [(2, 0), (0, 2), (1, 1)])
-    assert lat.basis == ((1, 1), (0, 2))
+    gens = [(2, 0), (0, 2), (1, 1)]
+    assert_hermite(2, gens, ((1, 1), (0, 2)))
+    lat = IntegerLattice(2, gens)
     assert lat.pivots == (0, 1)
-    assert lat.determinant() == 2
+    assert lat.rank == 2 and lat.pivot_product() == 2
 
 
 def test_hnf_identity():
+    assert_hermite(2, [(1, 0), (0, 1)], ((1, 0), (0, 1)))
     lat = IntegerLattice(2, [(1, 0), (0, 1)])
-    assert lat.basis == ((1, 0), (0, 1))
-    assert lat.determinant() == 1
+    assert lat.rank == 2 and lat.pivot_product() == 1
 
 
 def test_hnf_empty_and_zero():
-    lat = IntegerLattice(3, [])
-    assert lat.basis == ()
-    assert lat.rank == 0
+    assert_hermite(3, [], ())
+    assert IntegerLattice(3, []).rank == 0
     assert IntegerLattice(3, [(0, 0, 0)]).rank == 0
-    with pytest.raises(ValueError, match="full rank"):
-        lat.determinant()
+    assert IntegerLattice(3, [(0, 0, 0)]) == IntegerLattice(3, [])
 
 
 def test_hnf_negative_pivot_normalized():
-    lat = IntegerLattice(2, [(-1, 3)])
-    assert lat.basis == ((1, -3),)
+    assert_hermite(2, [(-1, 3)], ((1, -3),))
 
 
 def test_hnf_reduces_above_pivot():
-    lat = IntegerLattice(2, [(1, 5), (0, 2)])
-    assert lat.basis == ((1, 1), (0, 2))
+    assert_hermite(2, [(1, 5), (0, 2)], ((1, 1), (0, 2)))
 
 
 def test_vector_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         IntegerLattice(2, [(1, 2, 3)])
     with pytest.raises(ValueError, match="length"):
-        (1, 2, 3) in IntegerLattice(2, [(1, 0)])
+        IntegerLattice(2, [(1, 0), (1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------
 # membership
 
 def test_membership_even_sum():
-    lat = even_sum_lattice(3)
-    assert (1, 1, 0) in lat
-    assert (0, 0, 2) in lat
-    assert (1, -1, 0) in lat
-    assert (1, 0, 0) not in lat
-    assert (1, 1, 1) not in lat
-    assert (0, 0, 0) in lat
+    gens = even_sum_generators(3)
+    assert is_member(3, gens, (1, 1, 0))
+    assert is_member(3, gens, (0, 0, 2))
+    assert is_member(3, gens, (1, -1, 0))
+    assert not is_member(3, gens, (1, 0, 0))
+    assert not is_member(3, gens, (1, 1, 1))
+    assert is_member(3, gens, (0, 0, 0))
 
 
 def test_membership_skips_nonpivot_columns():
-    lat = IntegerLattice(3, [(0, 1, 0)])
-    assert (1, 0, 0) not in lat
-    assert (0, 5, 0) in lat
-    assert (0, 0, 1) not in lat
+    gens = [(0, 1, 0)]
+    assert not is_member(3, gens, (1, 0, 0))
+    assert is_member(3, gens, (0, 5, 0))
+    assert not is_member(3, gens, (0, 0, 1))
 
 
 vectors = st.lists(
@@ -96,44 +108,44 @@ vectors = st.lists(
 
 @given(vectors)
 def test_generators_and_combinations_are_members(vecs):
-    lat = IntegerLattice(4, vecs)
     rng = random.Random(42)
     for v in vecs:
-        assert v in lat
+        assert is_member(4, vecs, v)
     for _ in range(5):
         combo = [0, 0, 0, 0]
         for v in vecs:
             c = rng.randint(-3, 3)
             for k in range(4):
                 combo[k] += c * v[k]
-        assert combo in lat
+        assert is_member(4, vecs, combo)
 
 
 @given(vectors, st.randoms(use_true_random=False))
 def test_hnf_invariant_under_generator_shuffle(vecs, rng):
-    lat = IntegerLattice(4, vecs)
+    basis = EagerLattice(4, vecs).basis
     shuffled = list(vecs)
     rng.shuffle(shuffled)
-    assert IntegerLattice(4, shuffled).basis == lat.basis
+    assert_hermite(4, shuffled, basis)
     # adding combinations of existing generators changes nothing
     if vecs:
         extra = [sum(v[k] for v in vecs) for k in range(4)]
-        assert IntegerLattice(4, shuffled + [extra]).basis == lat.basis
+        assert_hermite(4, shuffled + [extra], basis)
 
 
 @given(vectors)
 def test_canonical_form_is_idempotent(vecs):
-    lat = IntegerLattice(4, vecs)
-    again = IntegerLattice(4, lat.basis)
-    assert again == lat
-    assert again.basis == lat.basis
-    for row, j in zip(lat.basis, lat.pivots):
+    # the reference's basis is in Hermite form, reduces to itself, and
+    # generates the lattice IntegerLattice builds from the same vectors
+    ref = EagerLattice(4, vecs)
+    assert EagerLattice(4, ref.basis).basis == ref.basis
+    assert_hermite(4, vecs, ref.basis)
+    for row, j in zip(ref.basis, ref.pivots):
         assert row[j] > 0
         assert all(row[k] == 0 for k in range(j))
-    for idx, j in enumerate(lat.pivots):
-        pivot = lat.basis[idx][j]
+    for idx, j in enumerate(ref.pivots):
+        pivot = ref.basis[idx][j]
         for above in range(idx):
-            assert 0 <= lat.basis[above][j] < pivot
+            assert 0 <= ref.basis[above][j] < pivot
 
 
 def _fraction_rank_and_det(vecs, dim):
@@ -169,46 +181,48 @@ def test_determinant_matches_fraction_elimination(vecs):
     if rank < 4:
         assert lat.rank < 4
     else:
-        assert lat.determinant() == abs(det)
+        assert lat.rank == 4 and lat.pivot_product() == abs(det)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
 def test_kernel_of_coordinate_form():
-    lat = even_sum_lattice(3)
+    lat = IntegerLattice(3, even_sum_generators(3))
     ker = lat.kernel_of_form((1, 0, 0))
-    assert ker.basis == ((0, 1, 1), (0, 0, 2))
+    assert ker == IntegerLattice(3, [(0, 1, 1), (0, 0, 2)])
+    assert ker.pivots == (1, 2)
 
 
 def test_kernel_of_zero_form():
-    lat = even_sum_lattice(3)
+    lat = IntegerLattice(3, even_sum_generators(3))
     assert lat.kernel_of_form((0, 0, 0)) == lat
 
 
 def test_kernel_form_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        even_sum_lattice(3).kernel_of_form((1, 0))
+        IntegerLattice(3, even_sum_generators(3)).kernel_of_form((1, 0))
 
 
 @given(vectors, st.lists(st.integers(-5, 5), min_size=4, max_size=4))
 @settings(max_examples=60)
 def test_kernel_properties(vecs, coeffs):
+    # the kernel's rows are read through the reference's Hermite basis of it
     lat = IntegerLattice(4, vecs)
     ker = lat.kernel_of_form(coeffs)
-    for row in ker.basis:
+    rows = EagerLattice(4, vecs).kernel_of_form(coeffs).basis
+    assert ker == IntegerLattice(4, rows)
+    for row in rows:
         assert sum(c * x for c, x in zip(coeffs, row)) == 0
-        assert row in lat
-    # cross-differences of basis rows kill the form and must land in the kernel
-    vals = [sum(c * x for c, x in zip(coeffs, row)) for row in lat.basis]
-    for a in range(len(lat.basis)):
-        for b in range(len(lat.basis)):
+        assert is_member(4, vecs, row)
+    # cross-differences of generators kill the form and must land in the kernel
+    vals = [sum(c * x for c, x in zip(coeffs, v)) for v in vecs]
+    for a in range(len(vecs)):
+        for b in range(len(vecs)):
             if a == b:
                 continue
-            mixed = [
-                vals[b] * lat.basis[a][k] - vals[a] * lat.basis[b][k] for k in range(4)
-            ]
-            assert mixed in ker
+            mixed = [vals[b] * vecs[a][k] - vals[a] * vecs[b][k] for k in range(4)]
+            assert is_member(4, rows, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +240,16 @@ def test_lazy_lattice_agrees_with_eager_reference(vecs, coeffs, extra):
     # generators, their sums and arbitrary vectors
     sums = [[a + b for a, b in zip(u, w)] for u, w in zip(vecs, vecs[1:])]
     for v in vecs + sums + extra:
-        assert (v in lat) == (v in ref)
+        assert is_member(4, vecs, v) == (v in ref)
     assert lat.pivots == ref.pivots
     assert lat.rank == ref.rank
     if ref.rank == 4:
-        assert lat.determinant() == ref.determinant()
-    else:
-        with pytest.raises(ValueError, match="full rank"):
-            lat.determinant()
+        assert lat.pivot_product() == ref.determinant()
     ker, ker_ref = lat.kernel_of_form(coeffs), ref.kernel_of_form(coeffs)
     assert ker.pivots == ker_ref.pivots
     for v in vecs + extra:
-        assert (v in ker) == (v in ker_ref)
-    assert ker.basis == ker_ref.basis
-    assert lat.basis == ref.basis
+        assert (IntegerLattice(4, [*ker_ref.basis, v]) == ker) == (v in ker_ref)
+    assert lat == IntegerLattice(4, ref.basis)
     assert ker == IntegerLattice(4, ker_ref.basis)
 
 
@@ -257,7 +267,8 @@ def test_sublattice_equality_by_pivots_and_pivot_product(vecs, coefficient_rows)
     ]
     small = IntegerLattice(4, gens)
     shortcut = small.pivots == big.pivots and small.pivot_product() == big.pivot_product()
-    assert shortcut == small.fills(big) == (small.basis == big.basis)
+    canonical = EagerLattice(4, gens).basis == EagerLattice(4, vecs).basis
+    assert shortcut == small.fills(big) == canonical
 
 
 small_vectors = st.lists(
@@ -270,28 +281,30 @@ small_vectors = st.lists(
 @given(small_vectors, small_vectors, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 @settings(max_examples=200)
 def test_comparisons_agree_with_canonical_basis(a, b, v):
-    # ==, hash and in go through fills; the canonical basis decides them
-    # independently.  Small entries make equal pairs and members common.
+    # == and hash go through fills; the reference's canonical basis decides
+    # them independently.  Small entries make equal pairs and members common.
     lat_a, lat_b = IntegerLattice(4, a), IntegerLattice(4, b)
-    assert (lat_a == lat_b) == (lat_a.basis == lat_b.basis)
+    basis_a = EagerLattice(4, a).basis
+    assert (lat_a == lat_b) == (basis_a == EagerLattice(4, b).basis)
     if lat_a == lat_b:
         assert hash(lat_a) == hash(lat_b)
-    assert hash(lat_a) == hash(IntegerLattice(4, lat_a.basis))
-    assert (v in lat_a) == (IntegerLattice(4, a + [v]).basis == lat_a.basis)
+    assert hash(lat_a) == hash(IntegerLattice(4, basis_a))
+    assert (v in EagerLattice(4, a)) == (IntegerLattice(4, a + [v]) == lat_a)
 
 
 def test_lattice_is_unchanged_by_reading_it():
     lat = IntegerLattice(2, [(-1, 3), (0, 2)])
     snapshot = [list(r) for r in lat._rows]
-    assert lat.basis == ((1, 1), (0, 2))
-    assert (1, 1) in lat and lat == IntegerLattice(2, lat.basis)
+    assert lat == IntegerLattice(2, [(1, 1), (0, 2)]) and lat.fills(lat)
+    assert lat.pivot_product() == 2 and hash(lat) == hash(IntegerLattice(2, [(1, 1), (0, 2)]))
+    assert lat.kernel_of_form((1, 0)) == IntegerLattice(2, [(0, 2)])
     assert lat._rows == snapshot
 
 
 def test_pivot_product_reads_echelon_pivots():
     assert IntegerLattice(3, [(-2, 1, 0), (0, 0, 3)]).pivot_product() == 6
     assert IntegerLattice(3, []).pivot_product() == 1
-    assert even_sum_lattice(5).pivot_product() == even_sum_lattice(5).determinant() == 2
+    assert IntegerLattice(5, even_sum_generators(5)).pivot_product() == 2
     # same rank and pivot product, different lattices: the shortcut needs inclusion
     a, b = IntegerLattice(2, [(1, 0)]), IntegerLattice(2, [(1, 1)])
     assert (a.pivots, a.pivot_product()) == (b.pivots, b.pivot_product()) and a != b
@@ -302,9 +315,9 @@ def test_pivot_product_reads_echelon_pivots():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 def test_even_sum_lattice_shape(d):
-    lat = even_sum_lattice(d)
+    lat = IntegerLattice(d, even_sum_generators(d))
     assert lat.rank == d
-    assert lat.determinant() == 2
+    assert lat.pivot_product() == 2
     expected = tuple(
         tuple(
             (1 if k in (i, d - 1) else 0) if i < d - 1 else (2 if k == d - 1 else 0)
@@ -312,15 +325,9 @@ def test_even_sum_lattice_shape(d):
         )
         for i in range(d)
     )
-    assert lat.basis == expected
+    assert_hermite(d, even_sum_generators(d), expected)
 
 
 @given(st.lists(st.integers(-20, 20), min_size=4, max_size=4))
 def test_even_sum_membership_is_parity(vec):
-    lat = even_sum_lattice(4)
-    assert (vec in lat) == (sum(vec) % 2 == 0)
-
-
-def test_even_sum_rejects_nonpositive_dim():
-    with pytest.raises(ValueError):
-        even_sum_lattice(0)
+    assert is_member(4, even_sum_generators(4), vec) == (sum(vec) % 2 == 0)

@@ -4,20 +4,27 @@ from pathlib import Path
 import edgering
 
 PACKAGE_DIR = Path(edgering.__file__).parent
+TESTS_DIR = Path(__file__).parent
+BENCH_DIR = TESTS_DIR.parent / "bench"
 
 
 def test_no_module_imports_private_names_of_another():
     # a private name is its module's own; another module that needs it should
-    # get a public name or the function that already computes the result
+    # get a public name or the function that already computes the result.  The
+    # tests and the bench count too: a reference that imports a private helper
+    # of the code under test shares the code it is meant to check.  Monkeypatch
+    # targets named by string are not imports and stay allowed.
+    paths = [*PACKAGE_DIR.glob("*.py"), *TESTS_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")]
+    assert len({path.parent for path in paths}) == 3
     offenders = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.ImportFrom):
                 continue
             internal = node.level > 0 or (node.module or "").split(".")[0] == "edgering"
             if internal:
                 offenders += [
-                    f"{path.name}: {node.module}.{alias.name}"
+                    f"{path.parent.name}/{path.name}: {node.module}.{alias.name}"
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]

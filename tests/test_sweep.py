@@ -11,7 +11,6 @@ from edgering import (
     parse_graph6,
     run_sweep,
 )
-from conftest import DATA_DIR
 from helpers import nx_graph
 
 
@@ -116,20 +115,3 @@ def test_cross_check_builds_monoid_group_once(monkeypatch):
     assert cross_check(g).failures == ()
     assert calls == [g]
 
-
-def test_cross_check_never_canonicalizes(monkeypatch):
-    # the sweep compares lattices by pivots and index alone, including the
-    # equality in verify_decomposition
-    import edgering.lattice
-
-    calls = []
-    original = edgering.lattice._canonicalize
-
-    def counted(*args):
-        calls.append(1)
-        original(*args)
-
-    monkeypatch.setattr(edgering.lattice, "_canonicalize", counted)
-    graphs = parse_graph6((DATA_DIR / "conn7_sample.g6").read_text())
-    assert all(cross_check(g).failures == () for g in graphs)
-    assert calls == []
