@@ -29,7 +29,6 @@ from .graph import (
     UnsupportedError,
     VertexSet,
     bridge_graph,
-    canonical_cycle,
     chordless_odd_cycles,
     complete_bipartite_graph,
     complete_graph,
@@ -43,12 +42,11 @@ from .graph import (
     labelled_graphs,
     members,
     neighborhood,
-    odd_cycle_witness,
+    odd_spanning_edges,
     parse_edge_list,
     parse_graph6,
     serialize_edge_list,
     serialize_graph6,
-    spanning_tree_edges,
     vset,
 )
 from .lattice import IntegerLattice, xgcd

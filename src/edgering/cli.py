@@ -20,6 +20,7 @@ from typing import Sequence
 from .facets import FacetDescriptor, Fundamental, RegularVertex, SupportForm, facet_forms
 from .graph import (
     DisagreementError,
+    FAMILIES,
     Graph,
     ParseError,
     UnsupportedError,
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("generate", help="write a named family member as an edge list")
-    p.add_argument("family", choices=("bridge", "cycle", "complete", "complete_bipartite"))
+    p.add_argument("family", choices=tuple(FAMILIES))
     p.add_argument("--k", type=int, help="parameter for the bridge family")
     p.add_argument(
         "--n",

@@ -298,51 +298,6 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
     return comps
 
 
-def odd_cycle_witness(g: Graph, s: VertexSet) -> Cycle | None:
-    """An odd cycle inside s, or None if the induced subgraph is bipartite.
-
-    s must be nonempty and induce a connected subgraph.  The returned cycle
-    is canonical: smallest vertex first, then the smaller neighbor.
-    """
-    if s == 0:
-        raise ValueError("empty vertex set")
-    if s & ~g.full:
-        raise ValueError("vertex set not within 1..d")
-    if not connected_within(g, s):
-        raise ValueError("vertex set does not induce a connected subgraph")
-    # BFS 2-coloring of a connected vertex set; on a same-color edge, walk the
-    # two tree paths up to their meet and splice the odd cycle together.
-    d = g.d
-    parent = [0] * d
-    depth = [-1] * d
-    root = (s & -s).bit_length()
-    depth[root - 1] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        du = depth[u - 1]
-        m = g.adj[u - 1] & s
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length()
-            if depth[w - 1] < 0:
-                depth[w - 1] = du + 1
-                parent[w - 1] = u
-                queue.append(w)
-            elif (depth[w - 1] ^ du) & 1 == 0:
-                a, b = u, w
-                pa, pb = [a], [b]
-                # equal depths: BFS neighbours differ by at most 1, and these share parity
-                while a != b:
-                    a = parent[a - 1]
-                    pa.append(a)
-                    b = parent[b - 1]
-                    pb.append(b)
-                return canonical_cycle(pa + pb[-2::-1])
-    return None
-
-
 def is_bipartite(g: Graph) -> bool:
     return not any(every_component_nonbipartite(g, c) for c in connected_components(g))
 
@@ -375,16 +330,6 @@ def every_component_nonbipartite(g: Graph, within: VertexSet) -> bool:
             return False
         within &= ~even  # the whole component, as it is nonbipartite
     return True
-
-
-def canonical_cycle(seq: Sequence[int]) -> Cycle:
-    """Rotate and possibly reflect a cyclic vertex sequence into canonical
-    form: smallest vertex first, then the lexicographically smaller direction.
-    """
-    k = min(range(len(seq)), key=seq.__getitem__)
-    fwd = tuple(seq[k:]) + tuple(seq[:k])
-    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-    return min(fwd, rev)
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +394,30 @@ def chordless_odd_cycles(g: Graph) -> list[Cycle]:
 # ---------------------------------------------------------------------------
 # spanning trees
 
-def spanning_tree_edges(g: Graph) -> tuple[Edge, ...]:
-    """Edges of a BFS spanning tree from vertex 1 (graph must be connected)."""
+def odd_spanning_edges(g: Graph) -> tuple[Edge, ...]:
+    """Edges of a BFS spanning tree from vertex 1, in discovery order, then the
+    first edge found between two vertices of equal depth.  Such an edge closes
+    an odd cycle, so it is there exactly when the connected graph g is not bipartite.
+    """
     require_connected(g)
-    seen = 1
+    depth = [0] + [-1] * (g.d - 1)
     queue = deque([1])
     tree = []
+    odd = []
     while queue:
         u = queue.popleft()
-        m = g.adj[u - 1] & ~seen
+        m = g.adj[u - 1]
         while m:
             low = m & -m
             m ^= low
             w = low.bit_length()
-            seen |= low
-            tree.append((u, w) if u < w else (w, u))
-            queue.append(w)
-    return tuple(tree)
+            if depth[w - 1] < 0:
+                depth[w - 1] = depth[u - 1] + 1
+                tree.append((u, w) if u < w else (w, u))
+                queue.append(w)
+            elif not odd and depth[w - 1] == depth[u - 1]:
+                odd.append((u, w) if u < w else (w, u))
+    return tuple(tree + odd)
 
 
 def require_connected(g: Graph) -> None:

@@ -42,9 +42,8 @@ from .graph import (
     is_bipartite,
     members,
     neighborhood,
-    odd_cycle_witness,
+    odd_spanning_edges,
     require_connected,
-    spanning_tree_edges,
 )
 from .lattice import IntegerLattice, IntVec
 
@@ -78,30 +77,12 @@ def monoid_group(g: Graph) -> IntegerLattice:
 
 
 def verify_even_sum_basis(g: Graph) -> bool:
-    """Certify the even-sum identity for the edge-vector group directly.
+    """Certify the even-sum identity from a BFS tree plus one odd-closing edge.
 
-    Checks that the alternating sum of edge vectors around an odd cycle
-    collapses to twice a unit vector, and that this vector together with a
-    spanning tree's edge vectors is a Z-basis of the even-sum lattice.
+    With sigma(x) the sum of x over even-depth minus odd-depth vertices, the tree's
+    d - 1 edge vectors span ker sigma and the odd edge has sigma = +-2: index 2, a basis.
     """
-    cyc = odd_cycle_witness(g, g.full)
-    if cyc is None:
-        return False
-    acc = [0] * g.d
-    sign = 1
-    for idx in range(len(cyc)):
-        u, w = cyc[idx], cyc[(idx + 1) % len(cyc)]
-        acc[u - 1] += sign
-        acc[w - 1] += sign
-        sign = -sign
-    doubled = [0] * g.d
-    doubled[cyc[0] - 1] = 2
-    if acc != doubled:
-        return False
-    gens = [edge_vector(e, g.d) for e in spanning_tree_edges(g)]
-    gens.append(tuple(acc))
-    if len(gens) != g.d:
-        return False
+    gens = [edge_vector(e, g.d) for e in odd_spanning_edges(g)]
     return _is_even_sum_lattice(IntegerLattice(g.d, gens))
 
 

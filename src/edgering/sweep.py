@@ -43,7 +43,7 @@ def cross_check(g: Graph) -> CrossCheck:
                               the invariants that need that group are skipped
       verdict-mismatch        criterion and oracle disagree on (R1)
       violation-mismatch      they agree but name different facets
-      basis-construction      odd-cycle spanning-tree basis check failed
+      basis-construction      tree plus odd-closing edge is not a Z-basis of the even-sum lattice
       unit-value              some facet misses a value-1 edge vector
       lattice-vs-connectivity condition 2 differs from the connectivity test
       decomposition           zero-set lattice identity failed at some T

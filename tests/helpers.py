@@ -18,12 +18,10 @@ from edgering import (
     FacetCheck,
     Graph,
     IntegerLattice,
-    connected_components,
     connected_within,
     edge_vector,
     members,
     neighborhood,
-    odd_cycle_witness,
     vset,
 )
 
@@ -152,9 +150,9 @@ def independent_set_scan_fundamental_sets(g: Graph) -> list[int]:
     Walks the independent sets depth-first in label order, so the output is
     in lexicographic order of the vertex tuples.  Exponential in the
     independence number; the reference the common-neighbour-graph
-    enumerator is compared against.  The rest condition is checked through
-    odd_cycle_witness on each component, the definition that
-    every_component_nonbipartite replaces.
+    enumerator is compared against.  The rest condition is checked on
+    networkx, as brute_fundamental does, not through the package's parity
+    flood every_component_nonbipartite.
     """
     d = g.d
 
@@ -166,12 +164,15 @@ def independent_set_scan_fundamental_sets(g: Graph) -> list[int]:
             yield sub
             yield from extend(sub, v + 1)
 
+    h = nx_graph(g)
     out = []
     for t in extend(0, 1):
         nb = neighborhood(g, t)
-        rest = g.full & ~(t | nb)
-        if _bipartite_part_connected(g, t, nb) and all(
-            odd_cycle_witness(g, c) is not None for c in connected_components(g, rest)
+        if not _bipartite_part_connected(g, t, nb):
+            continue
+        rest = h.subgraph(members(g.full & ~(t | nb)))
+        if all(
+            not nx.bipartite.is_bipartite(rest.subgraph(c)) for c in nx.connected_components(rest)
         ):
             out.append(t)
     return out

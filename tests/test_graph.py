@@ -12,7 +12,6 @@ from edgering import (
     ParseError,
     UnsupportedError,
     bridge_graph,
-    canonical_cycle,
     chordless_odd_cycles,
     complete_bipartite_graph,
     complete_graph,
@@ -26,12 +25,11 @@ from edgering import (
     labelled_graphs,
     members,
     neighborhood,
-    odd_cycle_witness,
+    odd_spanning_edges,
     parse_edge_list,
     parse_graph6,
     serialize_edge_list,
     serialize_graph6,
-    spanning_tree_edges,
     vset,
 )
 from helpers import (
@@ -306,54 +304,20 @@ def test_is_bipartite_matches_networkx(d):
         assert is_bipartite(g) == nx.is_bipartite(nx_graph(g)), g
 
 
-def test_odd_cycle_witness(bridge2):
-    assert odd_cycle_witness(complete_graph(3), 0b111) == (1, 2, 3)
-    assert odd_cycle_witness(bridge2, vset([3, 7, 4, 8])) is None
-    assert odd_cycle_witness(cycle_graph(5), vset(range(1, 6))) == (1, 2, 3, 4, 5)
-
-
-def test_odd_cycle_witness_rejects_bad_sets(bridge2):
-    with pytest.raises(ValueError, match="empty"):
-        odd_cycle_witness(bridge2, 0)
-    with pytest.raises(ValueError, match="within"):
-        odd_cycle_witness(bridge2, 1 << 8)
-    with pytest.raises(ValueError, match="connected"):
-        odd_cycle_witness(bridge2, vset([1, 5]))
-
-
-@given(graphs(min_d=3))
-@settings(max_examples=80)
-def test_odd_cycle_witness_is_valid(g):
-    for comp in connected_components(g):
-        cyc = odd_cycle_witness(g, comp)
-        assert (cyc is None) == nx.bipartite.is_bipartite(nx_graph(g).subgraph(members(comp)))
-        if cyc is None:
-            continue
-        assert len(cyc) % 2 == 1 and len(cyc) >= 3
-        assert len(set(cyc)) == len(cyc)
-        assert vset(cyc) & ~comp == 0
-        for k in range(len(cyc)):
-            assert g.has_edge(cyc[k], cyc[(k + 1) % len(cyc)])
-        assert cyc == canonical_cycle(cyc)
-
-
 @pytest.mark.parametrize("d", range(1, 11))
-def test_every_component_nonbipartite_matches_odd_cycle_witness(d):
+def test_every_component_nonbipartite_matches_networkx(d):
     # the parity flood against its definition, on every vertex subset
     # including the empty one
     rng = random.Random(f"parity-{d}")
     for p in (0.2, 0.35, 0.6):
         g = random_graph(rng, d, p)
+        h = nx_graph(g)
         for s in range(1 << d):
-            expect = all(odd_cycle_witness(g, c) is not None for c in connected_components(g, s))
+            sub = h.subgraph(members(s))
+            expect = all(
+                not nx.is_bipartite(sub.subgraph(c)) for c in nx.connected_components(sub)
+            )
             assert every_component_nonbipartite(g, s) == expect, (g, s)
-
-
-def test_canonical_cycle():
-    assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
-    assert canonical_cycle((2, 1, 3)) == (1, 2, 3)
-    assert canonical_cycle((4, 5, 1, 2, 3)) == (1, 2, 3, 4, 5)
-    assert canonical_cycle((1, 5, 4, 3, 2)) == (1, 2, 3, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +381,36 @@ def test_chordless_odd_cycles_large_graphs():
 # ---------------------------------------------------------------------------
 # spanning trees
 
-def test_spanning_tree_edges(bridge2):
-    tree = spanning_tree_edges(bridge2)
-    assert len(tree) == 7
-    assert set(tree) <= set(bridge2.edges)
-    assert is_connected(Graph(8, tree))
-    with pytest.raises(ValueError, match="connected"):
-        spanning_tree_edges(Graph(2, ()))
+def _has_odd_cycle(edges):
+    return not nx.is_bipartite(nx.Graph(edges))
+
+
+@given(graphs())
+@settings(max_examples=150)
+def test_odd_spanning_edges(g):
+    if not is_connected(g):
+        with pytest.raises(UnsupportedError, match="not connected"):
+            odd_spanning_edges(g)
+        return
+    out = odd_spanning_edges(g)
+    tree = out[: g.d - 1]
+    assert len(set(tree)) == len(tree) == g.d - 1
+    assert set(out) <= set(g.edges)
+    assert is_connected(Graph(g.d, tree))
+    nonbipartite = not nx.is_bipartite(nx_graph(g))
+    assert len(out) == g.d - 1 + nonbipartite
+    assert not _has_odd_cycle(tree)
+    assert _has_odd_cycle(out) == nonbipartite
+
+
+def test_odd_spanning_edges_exhibits(bridge2):
+    # BFS from 1 over bridge2: depths 1:0, 2,3:1, 7,8:2, 4:3, 5,6:4; of the
+    # equal-depth edges {2,3} and {5,6}, the first one found is kept
+    assert odd_spanning_edges(bridge2) == (
+        (1, 2), (1, 3), (3, 7), (3, 8), (4, 7), (4, 5), (4, 6), (2, 3),
+    )
+    assert odd_spanning_edges(cycle_graph(4)) == ((1, 2), (1, 4), (2, 3))
+    assert odd_spanning_edges(Graph(1, ())) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,16 @@ def test_every_private_module_name_is_used_in_its_module():
             if name.startswith("_") and not name.startswith("__")
         ]
     assert offenders == []
+
+
+def test_readme_library_example_runs_as_documented():
+    # the README's Library block must name only live API and state true values
+    readme = (TESTS_DIR.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    report, checks = namespace["report"], namespace["checks"]
+    assert report.normal is False and report.r1 is True
+    assert report.occ_violation == ((1, 2, 3), (4, 5, 6))
+    assert (checks[0].unit, checks[0].match) == (True, True)

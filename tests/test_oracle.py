@@ -12,6 +12,7 @@ from edgering import (
     labelled_graphs,
     members,
     neighborhood,
+    odd_spanning_edges,
     parse_graph6,
     Fundamental,
     Graph,
@@ -20,6 +21,7 @@ from edgering import (
     UnsupportedError,
     bridge_graph,
     complete_graph,
+    cross_check,
     cycle_graph,
     edge_vector,
     facet_conditions,
@@ -91,6 +93,31 @@ def test_verify_even_sum_basis(bridge2):
     assert verify_even_sum_basis(cycle_graph(5))
     assert verify_even_sum_basis(bridge2)
     assert verify_even_sum_basis(complete_graph(6))
+    with pytest.raises(UnsupportedError, match="not connected"):
+        verify_even_sum_basis(Graph(4, ((1, 2), (3, 4))))
+
+
+def test_verify_even_sum_basis_is_false_on_bipartite_graphs():
+    # a bipartite graph has no odd-closing edge, so the tree alone has rank d - 1
+    seen = 0
+    for d in range(1, 7):
+        for g in labelled_graphs(d):
+            if is_connected(g) and is_bipartite(g):
+                assert not verify_even_sum_basis(g), g
+                seen += 1
+    assert seen == 3250
+
+
+def test_verify_even_sum_basis_rejects_bad_edge_sets(monkeypatch):
+    # the certificate must catch a missing odd edge and an extra edge that
+    # closes the even cycle 3-7-4-8 with the tree, and cross_check must tag it
+    g = bridge_graph(2)
+    tree = odd_spanning_edges(g)[:-1]
+    assert (4, 8) not in tree
+    for edges in (tree, tree + ((4, 8),)):
+        monkeypatch.setattr("edgering.oracle.odd_spanning_edges", lambda g, edges=edges: edges)
+        assert not verify_even_sum_basis(g)
+        assert cross_check(g).failures == ("basis-construction",)
 
 
 # ---------------------------------------------------------------------------
