@@ -31,7 +31,7 @@ from .graph import (
     serialize_edge_list,
     vset,
 )
-from .oracle import facet_conditions, failing_facets
+from .oracle import facet_conditions, failing_facets, monoid_group
 from .serre import ClassificationReport, classify, satisfies_r1
 from .sweep import run_sweep
 
@@ -205,6 +205,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     status = EXIT_OK
     for input_id, g in _load_graphs(args.input, args.format):
         checks = facet_conditions(g)
+        monoid_group(g)  # certifies the group that condition 2 reads in closed form
         oracle_violations = failing_facets(checks)
         oracle_verdict = not oracle_violations
         verdict, violations = satisfies_r1(g)

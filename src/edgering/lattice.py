@@ -110,6 +110,7 @@ class IntegerLattice:
 
         Prepends each echelon row's form value as a coordinate and refolds the rows: only
         the first can then be nonzero there; the others, without it, are the kernel's rows.
+        No program path calls it: it stays as the tests' reference and a bench tracer target.
         """
         if len(coeffs) != self.dim:
             raise ValueError(f"form length {len(coeffs)} does not match dimension {self.dim}")

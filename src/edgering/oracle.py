@@ -8,17 +8,27 @@ ring is regular in codimension one exactly when two exact conditions hold:
 2. the edge vectors on which the form vanishes generate, as a lattice, the
    full kernel of the form inside the group generated by all edge vectors.
 
-The zero-valued edge vectors lie in that kernel by construction, so condition
-2 is :meth:`IntegerLattice.fills`: the same echelon pivot columns and the same
-|product of pivots|, with no canonical form.  Nor does the group identity need
-the even-sum lattice: edge vectors have even coordinate sum, so their group
-fills that lattice exactly when it has its rank d and pivot product 2.
+The zero-valued edge vectors lie in that kernel K by construction, so
+condition 2 is the rule of :meth:`IntegerLattice.fills` (the same echelon
+pivot columns and |product of pivots|), with K's side read off a closed form
+and never built (Ohsugi & Hibi, J. Algebra 207, 1998).  With P the support of
+the form (the vertex i, or T and N(T)) and R the other columns:
 
-:func:`facet_conditions` evaluates both once per facet, against the monoid
-group a caller passes as ``group`` or else its own, into :class:`FacetCheck`
-records, which the verdict and the structural checks read.  Edge vectors have
-coordinate sum 2, so a zero set's affine hull misses the origin: a facet's
-rank d - 2 is read by :func:`verify_facet_rank` as its zero lattice's rank d - 1.
+* K: pivots every column but the last of P; pivot product 2, or 1 when R is
+  empty (the halved form, which agrees with the coordinate sum mod 2);
+* D (:func:`verify_decomposition`) = {x on P : sum_T x = sum_N(T) x} (+) the
+  even-sum lattice of each rest component: the same pivots; product 2 ** #components.
+
+K's closed form holds inside the even-sum lattice only, so each caller that
+decides (R1) certifies, with :func:`monoid_group` once per graph, that the
+edge vectors generate it: they have even coordinate sum, so their group fills
+that lattice exactly when it has rank d and pivot product 2.
+
+:func:`facet_conditions` evaluates both conditions once per facet into
+:class:`FacetCheck` records, which the verdict and the structural checks read.
+Edge vectors have coordinate sum 2, so a zero set's affine hull misses the
+origin: a facet's rank d - 2 is read by :func:`verify_facet_rank` as its zero
+lattice's rank d - 1.
 
 Everything is checked with exact integer arithmetic; any half-integral
 value where an integer is forced is reported as an internal error rather
@@ -40,7 +50,6 @@ from .graph import (
     UnsupportedError,
     connected_components,
     is_bipartite,
-    members,
     neighborhood,
     odd_spanning_edges,
     require_connected,
@@ -65,7 +74,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     """Group generated by the edge vectors of a connected nonbipartite graph.
 
     This is the even-coordinate-sum lattice; that identity is recomputed
-    here and a mismatch raises, since downstream kernels rely on it.
+    here and a mismatch raises, since condition 2's closed-form kernel relies on it.
     """
     require_connected(g)
     if is_bipartite(g):
@@ -120,21 +129,30 @@ class FacetCheck:
     match: bool
 
 
-def facet_conditions(g: Graph, *, group: IntegerLattice | None = None) -> list[FacetCheck]:
-    """Both conditions for every facet, one record per facet in facet order,
-    against the monoid group `group` (built here if not given).
+def facet_conditions(g: Graph) -> list[FacetCheck]:
+    """Both conditions for every facet, one record per facet in facet order.
+
+    Condition 2 reads the kernel in closed form (module docstring), which holds
+    for the even-sum group only: a caller that decides (R1) certifies that
+    group with :func:`monoid_group`.
     """
-    forms = facet_forms(g)  # first, so that bad input gets the facet error message
-    if group is None:
-        group = monoid_group(g)
     vectors = [edge_vector(e, g.d) for e in g.edges]
     out = []
-    for f, form in forms:
+    for f, form in facet_forms(g):
+        c = form.coeffs
         values = _edge_numerators(g, form)
         zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
-        match = zero.fills(group.kernel_of_form(form.coeffs))
+        # the coefficients are +-1 on P: solve form = 0 at P's last column, and
+        # the sum is even on the rest, a condition exactly when R is nonempty
+        last = max(i for i, x in enumerate(c) if x)
+        match = zero.pivots == _all_columns_but(g.d, last)
+        match = match and zero.pivot_product() == (2 if 0 in c else 1)
         out.append(FacetCheck(f, values, zero, form.denom in values, match))
     return out
+
+
+def _all_columns_but(d: int, col: int) -> tuple[int, ...]:
+    return (*range(col), *range(col + 1, d))
 
 
 def failing_facets(checks: Sequence[FacetCheck]) -> list[FacetDescriptor]:
@@ -144,7 +162,9 @@ def failing_facets(checks: Sequence[FacetCheck]) -> list[FacetDescriptor]:
 
 def oracle_r1(g: Graph) -> tuple[bool, list[FacetDescriptor]]:
     """(R1) verdict by the lattice route, with the failing facets."""
-    violations = failing_facets(facet_conditions(g))
+    checks = facet_conditions(g)  # first, so that bad input gets the facet error message
+    monoid_group(g)  # certifies the group that condition 2 reads in closed form
+    violations = failing_facets(checks)
     return (not violations, violations)
 
 
@@ -160,12 +180,14 @@ def verify_facet_rank(g: Graph, check: FacetCheck) -> bool:
 def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     """Structural identity behind condition 2 at a fundamental set T.
 
-    The record's zero lattice must equal D, whose two blocks are written in
-    closed form: the vectors on T and N(T) whose sums over T and over N(T)
-    agree, and the even-sum lattice of each component away from T and N(T).
-    For an independent T the zero lattice is the edge lattice of the T-to-N(T)
-    part plus those of the rest components, so a vertex set meets the
-    identity exactly when it is fundamental.
+    The record's zero lattice must equal D, with P = T | N(T):
+    D = {x on P : sum_T x = sum_N(T) x} (+) the even-sum lattice of each rest component;
+    its pivots are every column but the last of P, its pivot product 2 ** (rest components).
+    The zero lattice lies in D exactly when each zero-valued edge joins T to N(T)
+    or misses P, and then equals D exactly when the pivot data agree.  For an
+    independent T the zero lattice is the edge lattice of the T-to-N(T) part
+    plus those of the rest components, so a vertex set meets the identity
+    exactly when it is fundamental.
     """
     if not isinstance(check.facet, Fundamental):
         raise ValueError("not a fundamental set")
@@ -173,17 +195,13 @@ def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     nb = neighborhood(g, t)
     if t & nb:
         return False  # not independent, so not a fundamental set
-    # consecutive members a < b of T and N(T): e_a + e_b across the two sides,
-    # e_a - e_b within one; each vector has its own pivot column a
-    part = members(t | nb)
-    gens: list[Sequence[int]] = []
-    for a, b in zip(part, part[1:]):
-        vec = [0] * g.d
-        vec[a - 1] = 1
-        vec[b - 1] = 1 if (t >> (a - 1) ^ t >> (b - 1)) & 1 else -1
-        gens.append(vec)
-    for comp in connected_components(g, g.full & ~(t | nb)):
-        vs = members(comp)
-        gens += [edge_vector(pair, g.d) for pair in zip(vs, vs[1:])]
-        gens.append([2 if v == vs[-1] else 0 for v in range(1, g.d + 1)])
-    return check.zero == IntegerLattice(g.d, gens)
+    for (a, b), v in zip(g.edges, check.values):
+        ends = 1 << (a - 1) | 1 << (b - 1)
+        if v == 0 and bool(ends & t) != bool(ends & nb):
+            return False  # an edge within N(T) or from N(T) to the rest: not in D
+    part = t | nb
+    rest = connected_components(g, g.full & ~part)
+    return (
+        check.zero.pivots == _all_columns_but(g.d, part.bit_length() - 1)
+        and check.zero.pivot_product() == 1 << len(rest)
+    )

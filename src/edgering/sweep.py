@@ -51,17 +51,18 @@ def cross_check(g: Graph) -> CrossCheck:
       facet-support           a support form is not a facet form
     """
     fails: list[str] = []
+    certified = True
     try:
-        group = monoid_group(g)
+        monoid_group(g)
     except DisagreementError:
-        group = None
+        certified = False
         fails.append("monoid-group")
     t_ok, t_viols = satisfies_r1(g)
-    checks = [] if group is None else facet_conditions(g, group=group)
+    checks = facet_conditions(g) if certified else []
     o_viols = failing_facets(checks)
-    if group is not None and t_ok != (not o_viols):
+    if certified and t_ok != (not o_viols):
         fails.append("verdict-mismatch")
-    if group is not None and t_viols != o_viols:
+    if certified and t_viols != o_viols:
         fails.append("violation-mismatch")
     if not verify_even_sum_basis(g):
         fails.append("basis-construction")

@@ -374,3 +374,27 @@ def diff_lattice_facet_rank(g: Graph, check: FacetCheck) -> bool:
     base = zero[0]
     diffs = [[a - b for a, b in zip(vec, base)] for vec in zero[1:]]
     return IntegerLattice(g.d, diffs).rank == g.d - 2
+
+
+def decomposition_generators(g: Graph, t: int) -> list[list[int]]:
+    """Generators of the decomposition lattice D at an independent vertex set t.
+
+    Consecutive members a < b of T and N(T) give e_a + e_b across the two
+    sides and e_a - e_b within one; each component of the rest (found by
+    networkx) gives the edge vectors of consecutive members and 2 e_last.
+    verify_decomposition reads D's pivot data in closed form; this is the
+    generator loop that it is compared against.
+    """
+    part = members(t | neighborhood(g, t))
+    gens = []
+    for a, b in zip(part, part[1:]):
+        vec = [0] * g.d
+        vec[a - 1] = 1
+        vec[b - 1] = 1 if (t >> (a - 1) ^ t >> (b - 1)) & 1 else -1
+        gens.append(vec)
+    rest = nx_graph(g).subgraph(set(range(1, g.d + 1)) - set(part))
+    for comp in nx.connected_components(rest):
+        vs = sorted(comp)
+        gens += [list(edge_vector(pair, g.d)) for pair in zip(vs, vs[1:])]
+        gens.append([2 if v == vs[-1] else 0 for v in range(1, g.d + 1)])
+    return gens

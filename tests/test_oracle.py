@@ -40,6 +40,7 @@ from conftest import DATA_DIR
 from helpers import (
     brute_fundamental,
     connected_nonbipartite_graphs,
+    decomposition_generators,
     EagerLattice,
     diff_lattice_facet_rank,
     even_sum_generators,
@@ -263,12 +264,12 @@ def test_verify_checks_reject_wrong_records(bridge1):
     assert not verify_facet_rank(bridge1, dataclasses.replace(check, zero=IntegerLattice(7, [])))
 
 
-def test_verify_decomposition_holds_exactly_at_fundamental_sets():
-    # every nonempty vertex set T, with the record T's form would give: -1 on
-    # T, +1 on the rest of N(T), and the lattice of the zero-valued edge vectors.
-    # This reaches disconnected T-to-N(T) parts, bipartite rest components
-    # and non-independent masks, which no facet record does
-    sets_seen = 0
+def _vertex_set_records():
+    # every nonempty vertex set T of every connected nonbipartite labelled graph
+    # with d <= 5, with the record T's form would give: -1 on T, +1 on the rest
+    # of N(T), and the lattice of the zero-valued edge vectors.  This reaches
+    # disconnected T-to-N(T) parts, bipartite rest components and
+    # non-independent masks, which no facet record does
     for d in range(1, 6):
         for g in labelled_graphs(d):
             if not is_connected(g) or is_bipartite(g):
@@ -279,10 +280,37 @@ def test_verify_decomposition_holds_exactly_at_fundamental_sets():
                 coeffs = [-1 if t >> v & 1 else nb >> v & 1 for v in range(d)]
                 values = tuple(coeffs[i - 1] + coeffs[j - 1] for i, j in g.edges)
                 zero = IntegerLattice(d, [vec for vec, v in zip(vectors, values) if v == 0])
-                check = FacetCheck(Fundamental(t), values, zero, 1 in values, False)
-                assert verify_decomposition(g, check) == brute_fundamental(g, frozenset(members(t)))
-                sets_seen += 1
+                yield g, t, FacetCheck(Fundamental(t), values, zero, 1 in values, False)
+
+
+def test_verify_decomposition_holds_exactly_at_fundamental_sets():
+    sets_seen = 0
+    for g, t, check in _vertex_set_records():
+        assert verify_decomposition(g, check) == brute_fundamental(g, frozenset(members(t)))
+        sets_seen += 1
     assert sets_seen == 16815
+
+
+def test_verify_decomposition_equals_generator_reference():
+    # the closed-form pivot data and edge containment against the lattice
+    # equality they replace: the zero lattice against D built from generators
+    for g, t, check in _vertex_set_records():
+        independent = not t & neighborhood(g, t)
+        expected = independent and check.zero == IntegerLattice(g.d, decomposition_generators(g, t))
+        assert verify_decomposition(g, check) == expected
+
+
+def test_verify_decomposition_rejects_zero_values_outside_d(bridge2):
+    # T = {1}: N(T) = {2, 3}, and (3, 7) runs from N(T) to the rest, outside D.
+    # Marking its value zero while the zero lattice stays the facet's own leaves
+    # the pivot data equal to D's, so only the edge containment rejects it
+    check = check_for(bridge2, Fundamental(vset([1])))
+    assert verify_decomposition(bridge2, check)
+    k = bridge2.edges.index((3, 7))
+    assert check.values[k] == 1
+    marked = dataclasses.replace(check, values=check.values[:k] + (0,) + check.values[k + 1:])
+    assert marked.zero.pivots == check.zero.pivots
+    assert not verify_decomposition(bridge2, marked)
 
 
 @given(connected_nonbipartite_graphs(max_d=5))
@@ -298,8 +326,8 @@ def test_structural_checks_hold_everywhere(g):
 # ---------------------------------------------------------------------------
 # condition 2 by pivots and pivot product, against canonical equality
 
-def _shortcut_targets():
-    for d in range(1, 6):
+def _shortcut_targets(max_d=5):
+    for d in range(1, max_d + 1):
         for g in labelled_graphs(d):
             if is_connected(g) and not is_bipartite(g):
                 yield g
@@ -331,3 +359,58 @@ def test_facet_rank_equals_diff_lattice_reference():
             facets_seen += 1
     assert facets_seen == 7586
 
+
+# ---------------------------------------------------------------------------
+# condition 2 reads its form's kernel in closed form
+
+def _with_hnf_kernels_as_zero(g, hnf):
+    # facet_conditions with every zero lattice replaced by the HNF kernel
+    # monoid_group(g).kernel_of_form(form.coeffs) of that facet's form, so that
+    # condition 2 holds exactly when the closed-form kernel has the HNF's pivots
+    # and pivot product.  hnf caches kernels by form: monoid_group certifies
+    # each group as the even-sum lattice of its d, so the kernel depends on the
+    # form alone
+    kernels = []
+    for _, form in facet_forms(g):
+        if form.coeffs not in hnf:
+            hnf[form.coeffs] = monoid_group(g).kernel_of_form(form.coeffs)
+        kernels.append(hnf[form.coeffs])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("edgering.oracle.IntegerLattice", lambda dim, vectors, it=iter(kernels): next(it))
+        return facet_conditions(g)
+
+
+def test_closed_form_kernel_exhibits(bridge2):
+    # regular vertex 7 of bridge2: every column but 6, product 2
+    kernel = monoid_group(bridge2).kernel_of_form(support_form(bridge2, RegularVertex(7)).coeffs)
+    assert (kernel.pivots, kernel.pivot_product()) == ((0, 1, 2, 3, 4, 5, 7), 2)
+    # T = {1} in bridge2: P = {1, 2, 3}, so every column but 2, product 2
+    kernel = monoid_group(bridge2).kernel_of_form(support_form(bridge2, Fundamental(vset([1]))).coeffs)
+    assert (kernel.pivots, kernel.pivot_product()) == ((0, 1, 3, 4, 5, 6, 7), 2)
+    # T = {1} in a triangle leaves no rest (the halved form): every column but 2, product 1
+    k3 = complete_graph(3)
+    form = support_form(k3, Fundamental(vset([1])))
+    kernel = monoid_group(k3).kernel_of_form(form.coeffs)
+    assert form.denom == 2 and (kernel.pivots, kernel.pivot_product()) == ((0, 1), 1)
+    for g in (bridge2, k3):
+        assert all(c.match for c in _with_hnf_kernels_as_zero(g, {}))
+
+
+def test_closed_form_kernels_equal_hnf_kernels():
+    # every facet of every connected nonbipartite labelled graph with d <= 6 and of conn7
+    hnf: dict = {}
+    facets_seen = 0
+    for g in _shortcut_targets(max_d=6):
+        checks = _with_hnf_kernels_as_zero(g, hnf)
+        assert all(c.match for c in checks)
+        facets_seen += len(checks)
+    assert facets_seen == 220492
+
+
+@given(connected_nonbipartite_graphs(max_d=10))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_kernels_equal_hnf_kernels_property(g):
+    group = monoid_group(g)
+    for check, (_, form) in zip(facet_conditions(g), facet_forms(g), strict=True):
+        assert check.match == check.zero.fills(group.kernel_of_form(form.coeffs))
+    assert all(c.match for c in _with_hnf_kernels_as_zero(g, {}))

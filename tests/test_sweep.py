@@ -2,15 +2,20 @@ import networkx as nx
 import pytest
 
 from edgering import (
+    DisagreementError,
     Graph,
+    SupportForm,
     bridge_graph,
     cross_check,
     is_bipartite,
     is_connected,
     labelled_graphs,
+    oracle_r1,
     parse_graph6,
     run_sweep,
+    serialize_graph6,
 )
+from edgering.cli import main
 from helpers import nx_graph
 
 
@@ -96,9 +101,9 @@ def test_monoid_group_failure_is_tagged_not_raised(monkeypatch, bridge1):
     assert all("monoid-group" in cc.failures for cc in summary.disagreements)
 
 
-def test_cross_check_builds_monoid_group_once(monkeypatch):
-    # cross_check hands its group to facet_conditions, which would otherwise
-    # build it again; count the calls at both import sites
+def _count_monoid_group_calls(monkeypatch) -> list:
+    # every import site of monoid_group records the graphs it certifies
+    import edgering.cli
     import edgering.oracle
     import edgering.sweep
 
@@ -109,9 +114,44 @@ def test_cross_check_builds_monoid_group_once(monkeypatch):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(edgering.sweep, "monoid_group", counted)
-    monkeypatch.setattr(edgering.oracle, "monoid_group", counted)
+    for module in (edgering.cli, edgering.oracle, edgering.sweep):
+        monkeypatch.setattr(module, "monoid_group", counted)
+    return calls
+
+
+def test_cross_check_builds_monoid_group_once(monkeypatch):
+    # condition 2 reads the kernel in closed form, which holds for the even-sum
+    # group only; cross_check certifies it once, and facet_conditions never does
+    calls = _count_monoid_group_calls(monkeypatch)
     g = bridge_graph(2)
     assert cross_check(g).failures == ()
     assert calls == [g]
 
+
+def test_oracle_paths_certify_the_group_once(monkeypatch, capsys, tmp_path):
+    # oracle_r1 and the CLI's oracle certify the group once per graph too
+    calls = _count_monoid_group_calls(monkeypatch)
+    g = bridge_graph(2)
+    assert oracle_r1(g) == (True, [])
+    assert calls == [g]
+    calls.clear()
+    path = tmp_path / "two.g6"
+    path.write_text(f"{serialize_graph6(g)}\n{serialize_graph6(bridge_graph(1))}\n")
+    assert main(["oracle", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == [g, bridge_graph(1)]
+
+
+def test_half_integral_form_is_raised_not_tagged(monkeypatch, bridge1):
+    # a halved form with an odd value on some edge is an internal error of the
+    # facet data, not a failed group identity: cross_check lets it propagate
+    import edgering.oracle
+
+    forms = edgering.oracle.facet_forms(bridge1)
+
+    def halved(g):
+        return [(f, SupportForm(form.coeffs, 2)) for f, form in forms]
+
+    monkeypatch.setattr(edgering.oracle, "facet_forms", halved)
+    with pytest.raises(DisagreementError, match="half-integral"):
+        cross_check(bridge1)
