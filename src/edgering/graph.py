@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -59,6 +60,7 @@ class Graph:
 
     Edges are normalized to sorted pairs in lexicographic order, so two
     graphs with the same edge set compare equal and serialize identically.
+    Edges may come lazily: the vertex bound is checked before the first is read.
     ``adj[v-1]`` is the neighbor bitmask of vertex v.
     """
 
@@ -432,22 +434,19 @@ def cycle_graph(n: int) -> Graph:
     """The n-cycle, n >= 3."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph(n, tuple(edges))
+    return Graph(n, ((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {n}")
-    edges = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return Graph(n, edges)
+    return Graph(n, ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"complete bipartite graph needs positive part sizes, got {a},{b}")
-    edges = tuple((i, a + j) for i in range(1, a + 1) for j in range(1, b + 1))
-    return Graph(a + b, edges)
+    return Graph(a + b, ((i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)))
 
 
 def bridge_graph(k: int) -> Graph:
@@ -456,11 +455,8 @@ def bridge_graph(k: int) -> Graph:
     """
     if k < 1:
         raise ValueError(f"bridge graph needs at least 1 path, got {k}")
-    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
-    for i in range(1, k + 1):
-        mid = 6 + i
-        edges += [(3, mid), (4, mid)]
-    return Graph(6 + k, tuple(edges))
+    paths = ((end, mid) for mid in range(7, 7 + k) for end in (3, 4))
+    return Graph(6 + k, chain([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)], paths))
 
 
 FAMILIES = {

@@ -58,8 +58,8 @@ def _insert(rows: list[list[int]], pivots: list[int], vec: list[int], dim: int) 
 
 class IntegerLattice:
     """Sublattice of Z^dim, stored as echelon rows (strictly increasing pivot
-    columns); it never changes after construction.  Equality and hashing rest
-    on fills.
+    columns); it never changes after construction.  It is read through rank,
+    pivots and pivot_product; kernel_of_form stays as the tests' reference.
     """
 
     __slots__ = ("dim", "pivots", "_rows")
@@ -81,26 +81,11 @@ class IntegerLattice:
         return len(self._rows)
 
     def pivot_product(self) -> int:
-        """|product of the echelon pivots|: the index of the projection onto the pivot columns."""
-        return abs(prod(row[j] for row, j in zip(self._rows, self.pivots)))
+        """|product of the echelon pivots|: the index of the projection onto the pivot columns.
 
-    def fills(self, outer: "IntegerLattice") -> bool:
-        """Whether this lattice, which must lie inside outer, equals it: both project
-        injectively onto their pivot columns, so they are equal exactly when those
-        columns and the index there (|product of pivots|) agree.
+        A lattice inside another equals it exactly when both have the same pivots and pivot product.
         """
-        return self.pivots == outer.pivots and self.pivot_product() == outer.pivot_product()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntegerLattice):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        joint = IntegerLattice(self.dim, [*self._rows, *other._rows])
-        return self.fills(joint) and other.fills(joint)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.pivots, self.pivot_product()))
+        return abs(prod(row[j] for row, j in zip(self._rows, self.pivots)))
 
     def __repr__(self) -> str:
         return f"IntegerLattice(dim={self.dim}, rank={self.rank})"

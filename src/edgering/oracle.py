@@ -9,10 +9,10 @@ ring is regular in codimension one exactly when two exact conditions hold:
    full kernel of the form inside the group generated by all edge vectors.
 
 The zero-valued edge vectors lie in that kernel K by construction, so
-condition 2 is the rule of :meth:`IntegerLattice.fills` (the same echelon
-pivot columns and |product of pivots|), with K's side read off a closed form
-and never built (Ohsugi & Hibi, J. Algebra 207, 1998).  With P the support of
-the form (the vertex i, or T and N(T)) and R the other columns:
+condition 2 is the sublattice rule of :meth:`IntegerLattice.pivot_product`
+(the same pivot columns and pivot product), with K's side read off a closed
+form and never built (Ohsugi & Hibi, J. Algebra 207, 1998).  With P the
+support of the form (the vertex i, or T and N(T)) and R the other columns:
 
 * K: pivots every column but the last of P; pivot product 2, or 1 when R is
   empty (the halved form, which agrees with the coordinate sum mod 2);
@@ -113,13 +113,13 @@ def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
     return nums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FacetCheck:
     """The oracle's data on one facet.
 
     values holds denom * form on each edge vector, in edge order; zero is
     the lattice generated by the zero-valued edge vectors; unit and match
-    are conditions 1 and 2.
+    are conditions 1 and 2.  Records compare by identity.
     """
 
     facet: FacetDescriptor

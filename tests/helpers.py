@@ -349,6 +349,15 @@ class EagerLattice:
         return EagerLattice(self.dim, kept)
 
 
+def canonical_basis(lat: IntegerLattice) -> tuple[tuple[int, ...], ...]:
+    """The reference's Hermite basis of an IntegerLattice, read from its rows as data.
+
+    IntegerLattice has no comparison of its own: tests compare lattices
+    through this canonical basis, which EagerLattice computes independently.
+    """
+    return EagerLattice(lat.dim, lat._rows).basis
+
+
 def even_sum_generators(d: int) -> list[list[int]]:
     """e_i + e_d for i < d, and 2 e_d: the Hermite basis of the vectors in
     Z^d with even coordinate sum."""

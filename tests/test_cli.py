@@ -58,9 +58,16 @@ def test_generate_rejects_bad_parameters(capsys, argv):
 
 
 def test_generate_above_vertex_bound_is_unsupported(capsys):
-    code, stdout, stderr = run_cli(capsys, "generate", "cycle", "--n", "65")
-    assert code == 3 and stdout == ""
-    assert "error:" in stderr and "65" in stderr
+    # every family, one vertex past the bound
+    for argv in (
+        ("cycle", "--n", "65"),
+        ("complete", "--n", "65"),
+        ("complete_bipartite", "--n", "33", "32"),
+        ("bridge", "--k", "59"),
+    ):
+        code, stdout, stderr = run_cli(capsys, "generate", *argv)
+        assert code == 3 and stdout == ""
+        assert "error:" in stderr and "65" in stderr
 
 
 def test_generate_at_vertex_bound(capsys):

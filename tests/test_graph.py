@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -449,6 +450,25 @@ def test_generate_family_rejects(name, params):
 def test_generate_family_dispatch():
     assert generate_family("bridge", (2,)) == bridge_graph(2)
     assert generate_family("complete_bipartite", (2, 3)) == complete_bipartite_graph(2, 3)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("cycle", (100_000,)), ("complete", (700,)),
+     ("complete_bipartite", (300, 300)), ("bridge", (50_000,))],
+)
+def test_family_above_vertex_bound_fails_before_building_edges(name, params):
+    # Graph checks the vertex bound before it reads the first edge, so a family
+    # far above it raises without building its edges (complete_graph(700) has
+    # about 245 000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedError, match="vertex count"):
+            generate_family(name, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_labelled_graphs_counts():

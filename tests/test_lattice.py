@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgering import IntegerLattice, xgcd
-from helpers import EagerLattice, even_sum_generators
+from helpers import EagerLattice, canonical_basis, even_sum_generators
 
 
 def is_member(dim, gens, vec):
     # v lies in the lattice exactly when adding it as a generator changes nothing
-    return IntegerLattice(dim, [*gens, vec]) == IntegerLattice(dim, gens)
+    return canonical_basis(IntegerLattice(dim, [*gens, vec])) == canonical_basis(
+        IntegerLattice(dim, gens)
+    )
 
 
 def assert_hermite(dim, gens, expected):
@@ -20,7 +22,7 @@ def assert_hermite(dim, gens, expected):
     ref = EagerLattice(dim, gens)
     assert ref.basis == expected
     lat = IntegerLattice(dim, gens)
-    assert lat == IntegerLattice(dim, expected)
+    assert canonical_basis(lat) == expected
     assert lat.pivots == ref.pivots
 
 
@@ -61,7 +63,7 @@ def test_hnf_empty_and_zero():
     assert_hermite(3, [], ())
     assert IntegerLattice(3, []).rank == 0
     assert IntegerLattice(3, [(0, 0, 0)]).rank == 0
-    assert IntegerLattice(3, [(0, 0, 0)]) == IntegerLattice(3, [])
+    assert canonical_basis(IntegerLattice(3, [(0, 0, 0)])) == ()
 
 
 def test_hnf_negative_pivot_normalized():
@@ -190,13 +192,13 @@ def test_determinant_matches_fraction_elimination(vecs):
 def test_kernel_of_coordinate_form():
     lat = IntegerLattice(3, even_sum_generators(3))
     ker = lat.kernel_of_form((1, 0, 0))
-    assert ker == IntegerLattice(3, [(0, 1, 1), (0, 0, 2)])
+    assert canonical_basis(ker) == ((0, 1, 1), (0, 0, 2))
     assert ker.pivots == (1, 2)
 
 
 def test_kernel_of_zero_form():
     lat = IntegerLattice(3, even_sum_generators(3))
-    assert lat.kernel_of_form((0, 0, 0)) == lat
+    assert canonical_basis(lat.kernel_of_form((0, 0, 0))) == canonical_basis(lat)
 
 
 def test_kernel_form_length_mismatch():
@@ -211,7 +213,7 @@ def test_kernel_properties(vecs, coeffs):
     lat = IntegerLattice(4, vecs)
     ker = lat.kernel_of_form(coeffs)
     rows = EagerLattice(4, vecs).kernel_of_form(coeffs).basis
-    assert ker == IntegerLattice(4, rows)
+    assert canonical_basis(ker) == rows
     for row in rows:
         assert sum(c * x for c, x in zip(coeffs, row)) == 0
         assert is_member(4, vecs, row)
@@ -248,9 +250,10 @@ def test_lazy_lattice_agrees_with_eager_reference(vecs, coeffs, extra):
     ker, ker_ref = lat.kernel_of_form(coeffs), ref.kernel_of_form(coeffs)
     assert ker.pivots == ker_ref.pivots
     for v in vecs + extra:
-        assert (IntegerLattice(4, [*ker_ref.basis, v]) == ker) == (v in ker_ref)
-    assert lat == IntegerLattice(4, ref.basis)
-    assert ker == IntegerLattice(4, ker_ref.basis)
+        with_v = IntegerLattice(4, [*ker_ref.basis, v])
+        assert (canonical_basis(with_v) == canonical_basis(ker)) == (v in ker_ref)
+    assert canonical_basis(lat) == ref.basis
+    assert canonical_basis(ker) == ker_ref.basis
 
 
 combinations = st.lists(st.lists(st.integers(-2, 2), min_size=7, max_size=7), max_size=6)
@@ -259,8 +262,8 @@ combinations = st.lists(st.lists(st.integers(-2, 2), min_size=7, max_size=7), ma
 @given(vectors, combinations)
 @settings(max_examples=200)
 def test_sublattice_equality_by_pivots_and_pivot_product(vecs, coefficient_rows):
-    # small is generated inside big; fills decides small == big from the
-    # echelon pivot columns and |product of pivots| alone
+    # small is generated inside big, so the sublattice rule decides whether they
+    # are equal from the echelon pivot columns and |product of pivots| alone
     big = IntegerLattice(4, vecs)
     gens = [
         [sum(c * v[k] for c, v in zip(cs, vecs)) for k in range(4)] for cs in coefficient_rows
@@ -268,7 +271,7 @@ def test_sublattice_equality_by_pivots_and_pivot_product(vecs, coefficient_rows)
     small = IntegerLattice(4, gens)
     shortcut = small.pivots == big.pivots and small.pivot_product() == big.pivot_product()
     canonical = EagerLattice(4, gens).basis == EagerLattice(4, vecs).basis
-    assert shortcut == small.fills(big) == canonical
+    assert shortcut == canonical
 
 
 small_vectors = st.lists(
@@ -281,23 +284,22 @@ small_vectors = st.lists(
 @given(small_vectors, small_vectors, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 @settings(max_examples=200)
 def test_comparisons_agree_with_canonical_basis(a, b, v):
-    # == and hash go through fills; the reference's canonical basis decides
-    # them independently.  Small entries make equal pairs and members common.
-    lat_a, lat_b = IntegerLattice(4, a), IntegerLattice(4, b)
-    basis_a = EagerLattice(4, a).basis
-    assert (lat_a == lat_b) == (basis_a == EagerLattice(4, b).basis)
-    if lat_a == lat_b:
-        assert hash(lat_a) == hash(lat_b)
-    assert hash(lat_a) == hash(IntegerLattice(4, basis_a))
-    assert (v in EagerLattice(4, a)) == (IntegerLattice(4, a + [v]) == lat_a)
+    # a and b generate the same lattice exactly when both fill the lattice of
+    # a + b by the sublattice rule; the reference's canonical bases decide it
+    # independently.  Small entries make equal pairs and members common.
+    lats = IntegerLattice(4, a), IntegerLattice(4, b), IntegerLattice(4, a + b)
+    data_a, data_b, data_joint = [(lat.pivots, lat.pivot_product()) for lat in lats]
+    rule = data_a == data_joint and data_b == data_joint
+    assert rule == (EagerLattice(4, a).basis == EagerLattice(4, b).basis)
+    assert (v in EagerLattice(4, a)) == is_member(4, a, v)
 
 
 def test_lattice_is_unchanged_by_reading_it():
     lat = IntegerLattice(2, [(-1, 3), (0, 2)])
     snapshot = [list(r) for r in lat._rows]
-    assert lat == IntegerLattice(2, [(1, 1), (0, 2)]) and lat.fills(lat)
-    assert lat.pivot_product() == 2 and hash(lat) == hash(IntegerLattice(2, [(1, 1), (0, 2)]))
-    assert lat.kernel_of_form((1, 0)) == IntegerLattice(2, [(0, 2)])
+    assert canonical_basis(lat) == ((1, 1), (0, 2))
+    assert lat.pivots == (0, 1) and lat.pivot_product() == 2
+    assert canonical_basis(lat.kernel_of_form((1, 0))) == ((0, 2),)
     assert lat._rows == snapshot
 
 
@@ -307,7 +309,8 @@ def test_pivot_product_reads_echelon_pivots():
     assert IntegerLattice(5, even_sum_generators(5)).pivot_product() == 2
     # same rank and pivot product, different lattices: the shortcut needs inclusion
     a, b = IntegerLattice(2, [(1, 0)]), IntegerLattice(2, [(1, 1)])
-    assert (a.pivots, a.pivot_product()) == (b.pivots, b.pivot_product()) and a != b
+    assert (a.pivots, a.pivot_product()) == (b.pivots, b.pivot_product())
+    assert canonical_basis(a) != canonical_basis(b)
 
 
 # ---------------------------------------------------------------------------
