@@ -127,14 +127,7 @@ def _facet_label(f: FacetDescriptor) -> str:
 
 
 def _form_str(form: SupportForm) -> str:
-    terms = []
-    for i, c in enumerate(form.coeffs, start=1):
-        if c == 0:
-            continue
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        terms.append(f"{sign}{'' if mag == 1 else mag}x{i}")
-    body = "".join(terms)
+    body = "".join(f"{'+' if c > 0 else '-'}x{i}" for i, c in enumerate(form.coeffs, start=1) if c)
     if form.denom == 2:
         return f"({body})/2"
     return body

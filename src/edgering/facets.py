@@ -11,9 +11,10 @@ two kinds, each named by a vertex or a vertex set:
   enumerated in time that scales with the independent sets connected
   through shared neighbours, not with all independent sets.
 
-Each descriptor carries a supporting linear form: the coordinate form x_i
-for a regular vertex, and (sum over N(T) minus sum over T) for a fundamental
-set, halved when T and N(T) exhaust the vertices.
+Each descriptor reads as a pair (T, N) through its sides(g) method: (T, N(T))
+for a fundamental set, and (empty set, {i}) for a regular vertex i.  Its
+supporting linear form is the sum over N minus the sum over T (the coordinate
+form x_i for a regular vertex), halved when T and N exhaust the vertices.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .graph import (
 class RegularVertex:
     vertex: int
 
+    def sides(self, g: Graph) -> tuple[VertexSet, VertexSet]:
+        """(T, N): where the facet's form is -1 and +1; the empty set and {vertex}."""
+        return 0, 1 << (self.vertex - 1)
+
 
 @dataclass(frozen=True)
 class Fundamental:
@@ -45,6 +50,10 @@ class Fundamental:
     @property
     def vertices(self) -> tuple[int, ...]:
         return members(self.mask)
+
+    def sides(self, g: Graph) -> tuple[VertexSet, VertexSet]:
+        """(T, N): where the facet's form is -1 and +1; the set and its neighborhood."""
+        return self.mask, neighborhood(g, self.mask)
 
     def __repr__(self) -> str:
         return "Fundamental({%s})" % ", ".join(str(v) for v in self.vertices)
@@ -140,17 +149,9 @@ def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
 
 def _form_for(g: Graph, f: FacetDescriptor) -> SupportForm:
     # no validation; callers pass descriptors already known to be facets
-    coeffs = [0] * g.d
-    if isinstance(f, RegularVertex):
-        coeffs[f.vertex - 1] = 1
-        return SupportForm(tuple(coeffs), 1)
-    t = f.mask
-    nb = neighborhood(g, t)
-    for v in members(nb):
-        coeffs[v - 1] = 1
-    for v in members(t):
-        coeffs[v - 1] = -1
-    return SupportForm(tuple(coeffs), 2 if (t | nb) == g.full else 1)
+    t, nb = f.sides(g)
+    coeffs = tuple([(nb >> i & 1) - (t >> i & 1) for i in range(g.d)])
+    return SupportForm(coeffs, 2 if (t | nb) == g.full else 1)
 
 
 def support_form(g: Graph, f: FacetDescriptor) -> SupportForm:

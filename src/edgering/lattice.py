@@ -99,13 +99,7 @@ class IntegerLattice:
         """
         if len(coeffs) != self.dim:
             raise ValueError(f"form length {len(coeffs)} does not match dimension {self.dim}")
-        rows: list[list[int]] = []
-        pivots: list[int] = []
-        for row in self._rows:
-            _insert(rows, pivots, [sum(map(mul, coeffs, row))] + row, self.dim + 1)
-        start = 1 if pivots and pivots[0] == 0 else 0
-        ker = IntegerLattice.__new__(IntegerLattice)  # the rows are echelon: no re-insertion
-        ker.dim, ker.pivots = self.dim, tuple(j - 1 for j in pivots[start:])
-        ker._rows = [r[1:] for r in rows[start:]]
-        return ker
-
+        rows = [[sum(map(mul, coeffs, row)), *row] for row in self._rows]
+        lifted = IntegerLattice(self.dim + 1, rows)
+        # its rows are echelon, so refolding them without column 0 inserts each as is
+        return IntegerLattice(self.dim, (r[1:] for r, j in zip(lifted._rows, lifted.pivots) if j))

@@ -50,7 +50,6 @@ from .graph import (
     UnsupportedError,
     connected_components,
     is_bipartite,
-    neighborhood,
     odd_spanning_edges,
     require_connected,
 )
@@ -191,8 +190,7 @@ def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     """
     if not isinstance(check.facet, Fundamental):
         raise ValueError("not a fundamental set")
-    t = check.facet.mask
-    nb = neighborhood(g, t)
+    t, nb = check.facet.sides(g)
     if t & nb:
         return False  # not independent, so not a fundamental set
     for (a, b), v in zip(g.edges, check.values):

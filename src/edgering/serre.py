@@ -1,12 +1,9 @@
 """Serre's condition (R1) and normality for edge rings, by graph criteria.
 
 The edge ring of a connected nonbipartite graph satisfies (R1) exactly when
-every facet of the edge polytope keeps the connectivity condition that
-facet_connectivity_holds decides, away from the facet's vertex or set:
-
-* for a regular vertex i, deleting i leaves the graph connected;
-* for a fundamental set T, the subgraph induced away from T and N(T) is
-  empty or connected.
+every facet of the edge polytope passes facet_connectivity_holds: with
+(T, N) the facet's sides, V - (T | N) is empty or connected, where a regular
+vertex i is (empty set, {i}) and a fundamental set T is (T, N(T)).
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
@@ -54,11 +51,9 @@ def satisfies_odd_cycle_condition(g: Graph) -> tuple[Cycle, Cycle] | None:
 
 
 def facet_connectivity_holds(g: Graph, f: FacetDescriptor) -> bool:
-    """The per-facet connectivity condition of the (R1) criterion."""
-    if isinstance(f, RegularVertex):
-        rest = g.full & ~(1 << (f.vertex - 1))
-    else:
-        rest = g.full & ~(f.mask | neighborhood(g, f.mask))
+    """The (R1) test at one facet: with (T, N) = f.sides(g), V - (T | N) is empty or connected."""
+    t, nb = f.sides(g)
+    rest = g.full & ~(t | nb)
     return not rest or connected_within(g, rest)
 
 

@@ -49,6 +49,9 @@ def cross_check(g: Graph) -> CrossCheck:
       decomposition           zero-set lattice identity failed at some T
       occ-implies-r1          normal graph failing (R1)
       facet-support           a support form is not a facet form
+
+    Each route's verdict is "no violations", so verdict-mismatch implies
+    violation-mismatch by construction.
     """
     fails: list[str] = []
     certified = True

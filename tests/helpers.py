@@ -22,7 +22,6 @@ from edgering import (
     edge_vector,
     members,
     neighborhood,
-    vset,
 )
 
 
@@ -31,12 +30,6 @@ def nx_graph(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(1, g.d + 1))
     h.add_edges_from(g.edges)
     return h
-
-
-def from_nx(h: nx.Graph) -> Graph:
-    verts = sorted(h.nodes)
-    index = {v: k for k, v in enumerate(verts, start=1)}
-    return Graph(len(verts), tuple((index[a], index[b]) for a, b in h.edges))
 
 
 def brute_regular_vertex(g: Graph, v: int) -> bool:

@@ -290,6 +290,10 @@ def test_facet_forms_pair_facets_with_validated_forms(g):
     pairs = facet_forms(g)
     assert [f for f, _ in pairs] == facets(g)
     assert all(form == support_form(g, f) for f, form in pairs)
+    # sides(g) is (T, N): the vertices where the form is -1 and where it is +1
+    for f, form in pairs:
+        by_sign = [vset(i for i, c in enumerate(form.coeffs, 1) if c == s) for s in (-1, 1)]
+        assert f.sides(g) == tuple(by_sign)
 
 
 def test_facet_forms_rejects_like_facets():

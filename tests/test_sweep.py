@@ -1,9 +1,16 @@
+import importlib
+
 import networkx as nx
 import pytest
 
+import edgering.oracle
+import edgering.serre
+import edgering.sweep
+from conftest import DATA_DIR
 from edgering import (
     DisagreementError,
     Graph,
+    IntegerLattice,
     SupportForm,
     bridge_graph,
     cross_check,
@@ -155,3 +162,100 @@ def test_half_integral_form_is_raised_not_tagged(monkeypatch, bridge1):
     monkeypatch.setattr(edgering.oracle, "facet_forms", halved)
     with pytest.raises(DisagreementError, match="half-integral"):
         cross_check(bridge1)
+
+
+# edgering.facets is the package's facets() function, not the module
+FACETS = importlib.import_module("edgering.facets")
+
+
+def _forms_never_halved(monkeypatch):
+    original = edgering.oracle.facet_forms
+
+    def whole(g):
+        return [(f, SupportForm(form.coeffs, 1)) for f, form in original(g)]
+
+    monkeypatch.setattr(edgering.oracle, "facet_forms", whole)
+
+
+def _pivot_product_1_for_2(monkeypatch):
+    original = IntegerLattice.pivot_product
+
+    def misread(lat):
+        p = original(lat)
+        return 1 if p == 2 else p
+
+    monkeypatch.setattr(IntegerLattice, "pivot_product", misread)
+
+
+def _last_fundamental_set_dropped(monkeypatch):
+    original = FACETS.iter_fundamental_sets
+
+    def dropped(g):
+        return iter(list(original(g))[:-1])
+
+    for module in (FACETS, edgering.serre):
+        monkeypatch.setattr(module, "iter_fundamental_sets", dropped)
+
+
+def _triangles_only(monkeypatch):
+    original = edgering.serre.chordless_odd_cycles
+
+    def triangles(g):
+        return [c for c in original(g) if len(c) == 3]
+
+    monkeypatch.setattr(edgering.serre, "chordless_odd_cycles", triangles)
+
+
+CONNECTIVITY_TAGS = {"verdict-mismatch", "violation-mismatch", "lattice-vs-connectivity"}
+
+FAULT_TABLE = [
+    pytest.param(
+        lambda mp: mp.setattr(edgering.serre, "connected_within", lambda g, s: True),
+        CONNECTIVITY_TAGS,
+        id="connected-within-always-true",
+    ),
+    pytest.param(
+        lambda mp: mp.setattr(edgering.sweep, "satisfies_odd_cycle_condition", lambda g: None),
+        {"occ-implies-r1"},
+        id="occ-always-holds",
+    ),
+    pytest.param(
+        _forms_never_halved,
+        {"verdict-mismatch", "violation-mismatch", "unit-value"},
+        id="forms-never-halved",
+    ),
+    pytest.param(
+        lambda mp: mp.setattr(FACETS, "is_regular_vertex", lambda g, v: True),
+        CONNECTIVITY_TAGS | {"occ-implies-r1", "facet-support"},
+        id="every-vertex-regular",
+    ),
+    pytest.param(
+        _pivot_product_1_for_2,
+        {"monoid-group", "basis-construction"},
+        id="pivot-product-1-for-2",
+    ),
+    # both (R1) routes read one facet list and normality has one route, so these
+    # faults fire no tag yet; the tags named are those of the missing routes
+    pytest.param(
+        _last_fundamental_set_dropped,
+        {"facet-list"},
+        id="last-fundamental-set-dropped",
+        marks=pytest.mark.xfail(strict=True, reason="no check that the facet list is complete"),
+    ),
+    pytest.param(
+        _triangles_only,
+        {"normality-mismatch"},
+        id="chordless-cycles-triangles-only",
+        marks=pytest.mark.xfail(strict=True, reason="no second route to normality"),
+    ),
+]
+
+
+@pytest.mark.parametrize("fault, expected", FAULT_TABLE)
+def test_each_fault_fires_exactly_its_tags(monkeypatch, fault, expected):
+    # a tag no fault can fire would pass every clean sweep, so each row patches
+    # one fault into the package and names the exact tags it fires on a corpus
+    graphs = parse_graph6((DATA_DIR / "conn7_sample.g6").read_text())
+    fault(monkeypatch)
+    fired = {tag for g in graphs for tag in cross_check(g).failures}
+    assert fired == expected
