@@ -39,6 +39,7 @@ from .graph import (
     generate_family,
     is_bipartite,
     is_connected,
+    iter_chordless_odd_cycles,
     labelled_graphs,
     members,
     neighborhood,

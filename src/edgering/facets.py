@@ -123,8 +123,8 @@ def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
-    out = []
     for r in range(g.d):
+        out = []
         root = 1 << r
         above = -root << 1
         # (T, N(T), extension set, T and its H-neighbours); T's smallest
@@ -141,7 +141,9 @@ def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
                 child_nb = nb | adj[i]
                 fresh = share[i] & above & ~reached
                 stack.append((t | w, child_nb, (ext | fresh) & ~child_nb, reached | share[i]))
-    yield from sorted(out, key=members)
+        # every sorted tuple here starts with r, so each root's sets come out
+        # before the next root's are searched
+        yield from sorted(out, key=members)
 
 
 # ---------------------------------------------------------------------------

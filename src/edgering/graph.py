@@ -301,15 +301,20 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
 
 
 def is_bipartite(g: Graph) -> bool:
-    return not any(every_component_nonbipartite(g, c) for c in connected_components(g))
+    return not every_component_nonbipartite(g, g.full, some=True)
 
 
-def every_component_nonbipartite(g: Graph, within: VertexSet) -> bool:
-    """True iff each connected piece of `within` contains an odd cycle.
+def every_component_nonbipartite(g: Graph, within: VertexSet, some: bool = False) -> bool:
+    """True iff each connected piece of `within` contains an odd cycle; with
+    some=True, iff at least one piece does, that is, iff `within` induces a
+    nonbipartite subgraph.
 
-    An empty set passes vacuously.  A component has an odd cycle exactly
-    when walks of even and of odd length from one vertex meet.
+    An empty set passes vacuously, and fails with some=True.  A component
+    has an odd cycle exactly when walks of even and of odd length from one
+    vertex meet.
     """
+    # `some` is not keyword-only: the ESU of facets.py calls this once per
+    # node, and CPython calls a function with keyword-only defaults slower
     adj = g.adj
     while within:
         even = new_even = within & -within
@@ -328,10 +333,15 @@ def every_component_nonbipartite(g: Graph, within: VertexSet) -> bool:
             new_odd = to_odd & within & ~odd
             even |= new_even
             odd |= new_odd
-        if not even & odd:
+        if even & odd:
+            if some:
+                return True
+            within &= ~even  # the whole piece, as it is nonbipartite
+        elif some:
+            within &= ~(even | odd)
+        else:
             return False
-        within &= ~even  # the whole component, as it is nonbipartite
-    return True
+    return not some
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +362,34 @@ def neighborhood(g: Graph, t: VertexSet) -> VertexSet:
 # chordless odd cycles
 
 def chordless_odd_cycles(g: Graph) -> list[Cycle]:
-    """All chordless odd cycles, canonical and sorted lexicographically.
+    """All chordless odd cycles, canonical and sorted lexicographically."""
+    return [c for c, _ in iter_chordless_odd_cycles(g)]
+
+
+def iter_chordless_odd_cycles(
+    g: Graph, within: VertexSet | None = None, *, exceptional: bool = False
+) -> Iterator[tuple[Cycle, VertexSet]]:
+    """Chordless odd cycles C of the subgraph induced on `within` (default:
+    all of g), canonical and in lexicographic order, each with N[C], its
+    closed neighborhood in g.
 
     Each cycle is found as a chordless path grown one vertex at a time from
     its smallest vertex s, so the cost scales with the number of chordless
     paths rather than with the 2^d vertex subsets.  The path closes at a
     neighbor of s larger than its second vertex, which yields every cycle
-    exactly once and already in canonical form.
+    exactly once and already in canonical form.  Paths are grown depth
+    first, their closing and extension vertices taken in ascending label
+    order, which is the lexicographic order of the cycles.
+
+    With exceptional=True only the cycles C for which g - N[C] has an odd
+    cycle are yielded, and a path P is cut once g - N[P] has none: N[P]
+    only grows as P grows, and a subgraph of a bipartite graph is bipartite.
     """
-    out = []
-    adj = g.adj
-    for s in range(1, g.d + 1):
-        above = -1 << s  # vertices larger than s
+    adj, full = g.adj, g.full
+    if within is None:
+        within = full
+    for s in members(within):
+        above = within & (-1 << s)  # vertices of `within` larger than s
         ns = adj[s - 1] & above
         m = ns
         while m:
@@ -371,26 +397,26 @@ def chordless_odd_cycles(g: Graph) -> list[Cycle]:
             m ^= low
             v1 = low.bit_length()
             close = ns & ~((low << 1) - 1)  # neighbors of s larger than v1
-            # barred: s, the path, and every neighbor of an interior vertex
-            stack = [((s, v1), v1, 1 << (s - 1) | low)]
+            # (path, barred, N[path]); barred is None once the path has closed
+            # into a cycle, and otherwise holds s, the path and every neighbor
+            # of an interior vertex
+            stack = [((s, v1), 1 << (s - 1) | low, adj[s - 1] | adj[v1 - 1])]
             while stack:
-                path, end, barred = stack.pop()
+                path, barred, closed = stack.pop()
+                if exceptional and not every_component_nonbipartite(g, full & ~closed, some=True):
+                    continue
+                if barred is None:
+                    yield path, closed
+                    continue
+                end = path[-1]
                 cand = adj[end - 1] & above & ~barred
-                if len(path) & 1 == 0:
-                    c = cand & close
-                    while c:
-                        w = c & -c
-                        c ^= w
-                        out.append(path + (w.bit_length(),))
-                ext = cand & ~ns
+                ends = cand & ~ns | (cand & close if len(path) & 1 == 0 else 0)
                 barred |= adj[end - 1]
-                while ext:
-                    w = ext & -ext
-                    ext ^= w
+                while ends:  # largest first, so that the smallest is popped first
+                    w = 1 << ends.bit_length() - 1
+                    ends ^= w
                     v = w.bit_length()
-                    stack.append((path + (v,), v, barred))
-    out.sort()
-    return out
+                    stack.append((path + (v,), None if w & ns else barred, closed | adj[v - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ vertex i is (empty set, {i}) and a fundamental set T is (T, N(T)).
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
 graph the edge ring is always normal, hence both hold trivially.
+
+The condition is decided without listing every cycle.  Call a chordless odd
+cycle C exceptional when g - N[C], the graph with C and its neighbors
+deleted, has an odd cycle.  A shortest odd cycle of that induced subgraph
+is chordless in g, misses C and has no edge to it, so the condition fails
+exactly when some cycle is exceptional.  The cycles partnered with C are
+exceptional too, so the first offending pair in sorted order starts at the
+first exceptional cycle a, and its partner is the first chordless odd cycle
+of g - N[a].
 """
 
 from __future__ import annotations
@@ -26,27 +35,26 @@ from .graph import (
     Cycle,
     DisagreementError,
     Graph,
-    chordless_odd_cycles,
     connected_within,
     is_bipartite,
-    neighborhood,
+    iter_chordless_odd_cycles,
     require_connected,
-    vset,
 )
+
+# not called here; bench/tracer.py wraps serre.chordless_odd_cycles by that name
+from .graph import chordless_odd_cycles  # noqa: F401
 
 
 def satisfies_odd_cycle_condition(g: Graph) -> tuple[Cycle, Cycle] | None:
     """None when every two disjoint chordless odd cycles see an edge between
     them; otherwise the first offending pair in sorted order.
+
+    That pair is (a, b) with a the first exceptional cycle and b the first
+    chordless odd cycle of g - N[a] (see the module docstring).
     """
-    cycles = chordless_odd_cycles(g)
-    masks = [vset(c) for c in cycles]
-    for a in range(len(cycles)):
-        # b is disjoint from a and unjoined to it iff b misses a and N(a)
-        closed = masks[a] | neighborhood(g, masks[a])
-        for b in range(a + 1, len(cycles)):
-            if not closed & masks[b]:
-                return (cycles[a], cycles[b])
+    for a, closed in iter_chordless_odd_cycles(g, exceptional=True):
+        b, _ = next(iter_chordless_odd_cycles(g, g.full & ~closed))
+        return (a, b)
     return None
 
 

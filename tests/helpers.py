@@ -22,6 +22,7 @@ from edgering import (
     edge_vector,
     members,
     neighborhood,
+    vset,
 )
 
 
@@ -121,6 +122,41 @@ def subset_scan_chordless_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
             out.append(_cycle_order(g, mask))
     out.sort()
     return out
+
+
+def pair_loop_odd_cycle_condition(g: Graph, cycles: list[tuple[int, ...]]) -> tuple | None:
+    """The odd cycle condition by comparing every pair of a sorted cycle list.
+
+    Returns the first cycle that has a disjoint partner with no edge to it
+    later in the list, with its first such partner, or None.  Quadratic in
+    the number of cycles; the reference the first-witness search of
+    satisfies_odd_cycle_condition is compared against.
+    """
+    masks = [vset(c) for c in cycles]
+    for a in range(len(cycles)):
+        # b is disjoint from a and unjoined to it iff b misses a and N(a)
+        closed = masks[a] | neighborhood(g, masks[a])
+        for b in range(a + 1, len(cycles)):
+            if not closed & masks[b]:
+                return (cycles[a], cycles[b])
+    return None
+
+
+def is_occ_witness(g: Graph, pair) -> bool:
+    """Whether `pair` is two chordless odd cycles of g, vertex-disjoint and
+    with no edge between them, checked on g.has_edge alone."""
+    if len(pair) != 2:
+        return False
+    for c in pair:
+        k = len(c)
+        if k < 3 or k % 2 == 0 or len(set(c)) != k:
+            return False
+        for i, v in enumerate(c):
+            # v's only neighbours on the cycle are its two cycle neighbours
+            if [w for w in c if g.has_edge(v, w)] != [w for w in c if w in (c[i - 1], c[(i + 1) % k])]:
+                return False
+    a, b = pair
+    return not set(a) & set(b) and not any(g.has_edge(v, w) for v in a for w in b)
 
 
 def _cycle_order(g: Graph, mask: int) -> tuple[int, ...]:

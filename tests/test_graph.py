@@ -23,6 +23,7 @@ from edgering import (
     generate_family,
     is_bipartite,
     is_connected,
+    iter_chordless_odd_cycles,
     labelled_graphs,
     members,
     neighborhood,
@@ -315,10 +316,9 @@ def test_every_component_nonbipartite_matches_networkx(d):
         h = nx_graph(g)
         for s in range(1 << d):
             sub = h.subgraph(members(s))
-            expect = all(
-                not nx.is_bipartite(sub.subgraph(c)) for c in nx.connected_components(sub)
-            )
-            assert every_component_nonbipartite(g, s) == expect, (g, s)
+            odd = [not nx.is_bipartite(sub.subgraph(c)) for c in nx.connected_components(sub)]
+            assert every_component_nonbipartite(g, s) == all(odd), (g, s)
+            assert every_component_nonbipartite(g, s, some=True) == any(odd), (g, s)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +367,26 @@ def test_chordless_odd_cycles_match_subset_scan_on_random_graphs(d, p):
     rng = random.Random(f"gnp-{d}-{p}")
     g = random_graph(rng, d, p)
     assert chordless_odd_cycles(g) == subset_scan_chordless_odd_cycles(g)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_iter_chordless_odd_cycles_within_a_set_and_exceptional(d):
+    # the cycles inside `within`, each with its closed neighborhood, and the
+    # exceptional ones: those whose rest still has an odd cycle (networkx)
+    rng = random.Random(f"within-{d}")
+    for p in (0.3, 0.5, 0.7):
+        g = random_graph(rng, d, p)
+        h = nx_graph(g)
+        cycles = subset_scan_chordless_odd_cycles(g)
+        for within in {g.full, rng.getrandbits(d) or 1, rng.getrandbits(d) or 1}:
+            inside = [c for c in cycles if not vset(c) & ~within]
+            found = list(iter_chordless_odd_cycles(g, within))
+            assert found == [(c, vset(c) | neighborhood(g, vset(c))) for c in inside], (g, within)
+        exceptional = [
+            c for c in cycles
+            if not nx.is_bipartite(h.subgraph(set(h).difference(c, *(h[v] for v in c))))
+        ]
+        assert [c for c, _ in iter_chordless_odd_cycles(g, exceptional=True)] == exceptional, g
 
 
 def test_chordless_odd_cycles_large_graphs():

@@ -1,5 +1,9 @@
+import importlib
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgering import (
     ClassificationReport,
@@ -8,17 +12,30 @@ from edgering import (
     RegularVertex,
     UnsupportedError,
     bridge_graph,
+    chordless_odd_cycles,
     classify,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     facet_connectivity_holds,
     facets,
+    is_bipartite,
+    is_connected,
+    labelled_graphs,
+    parse_graph6,
     satisfies_odd_cycle_condition,
     satisfies_r1,
     vset,
 )
-from helpers import as_brute_violation, brute_r1, connected_nonbipartite_graphs
+from helpers import (
+    as_brute_violation,
+    brute_r1,
+    connected_nonbipartite_graphs,
+    is_occ_witness,
+    pair_loop_odd_cycle_condition,
+    random_connected_nonbipartite,
+    subset_scan_chordless_odd_cycles,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +59,53 @@ def test_occ_holds_when_triangles_joined():
 def test_occ_fails_for_all_bridge_graphs():
     for k in (*range(1, 7), 58):
         assert satisfies_odd_cycle_condition(bridge_graph(k)) == ((1, 2, 3), (4, 5, 6))
+
+
+def test_occ_matches_pair_loop_on_all_small_graphs():
+    # every connected nonbipartite labelled graph with d <= 6, against the
+    # pair loop over the subset scan's cycles
+    checked = 0
+    for d in range(3, 7):
+        for g in labelled_graphs(d):
+            if is_connected(g) and not is_bipartite(g):
+                cycles = subset_scan_chordless_odd_cycles(g)
+                assert satisfies_odd_cycle_condition(g) == pair_loop_odd_cycle_condition(g, cycles), g
+                checked += 1
+    assert checked == 24226
+
+
+def test_occ_matches_pair_loop_on_corpus(corpus7_path):
+    graphs = parse_graph6(corpus7_path.read_text())
+    found = [satisfies_odd_cycle_condition(g) for g in graphs]
+    expect = [pair_loop_odd_cycle_condition(g, subset_scan_chordless_odd_cycles(g)) for g in graphs]
+    assert found == expect
+    assert None in found and any(found)
+
+
+@st.composite
+def gnp_graphs(draw, max_d: int = 20) -> Graph:
+    d = draw(st.integers(3, max_d))
+    p = draw(st.floats(0.12, 0.8))
+    return random_connected_nonbipartite(random.Random(draw(st.integers(0, 2**32))), d, p)
+
+
+@given(gnp_graphs())
+@settings(max_examples=150, deadline=None)
+def test_occ_matches_pair_loop_on_random_graphs(g):
+    assert satisfies_odd_cycle_condition(g) == pair_loop_odd_cycle_condition(g, chordless_odd_cycles(g))
+
+
+def test_occ_on_dense_and_large_graphs():
+    # a pair loop over the 9 880 triangles of K40 takes seconds; the search
+    # cuts every path at once, since the rest of any path is empty
+    assert satisfies_odd_cycle_condition(complete_graph(40)) is None
+    report = classify(complete_graph(64))
+    assert report.normal and report.r1 and report.r1_violations == ()
+    # G(64, 0.1) has over a million chordless odd cycles
+    g = random_connected_nonbipartite(random.Random("occ-64"), 64, 0.1)
+    witness = satisfies_odd_cycle_condition(g)
+    assert witness is not None and is_occ_witness(g, witness)
+    assert not is_occ_witness(g, (witness[0], witness[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +152,39 @@ def test_r1_matches_brute_force(g):
     brute_ok, brute_violations = brute_r1(g)
     assert ok == brute_ok
     assert [as_brute_violation(f) for f in violations] == brute_violations
+
+
+def test_r1_early_exit_is_the_first_violation_on_sparse_graphs():
+    # sparse graphs whose violations are fundamental sets, found after the
+    # regular vertices, so the enumeration must hand out its sets in order
+    found = 0
+    for d in range(20, 25):
+        for seed in range(6):
+            g = random_connected_nonbipartite(random.Random(seed), d, 0.15)
+            ok, violations = satisfies_r1(g)
+            assert satisfies_r1(g, early_exit=True) == (ok, violations[:1]), (d, seed)
+            found += bool(violations) and isinstance(violations[0], Fundamental)
+    assert found >= 5
+
+
+def test_r1_early_exit_stops_the_enumeration(monkeypatch):
+    # counted in rest floods, one per enumeration node: the early exit ends
+    # the enumeration after the root of its first violation, vertex 3
+    facets_module = importlib.import_module("edgering.facets")
+    g = random_connected_nonbipartite(random.Random(5), 22, 0.15)
+    floods = []
+    original = facets_module.every_component_nonbipartite
+
+    def counted(h, within):
+        floods.append(within)
+        return original(h, within)
+
+    monkeypatch.setattr(facets_module, "every_component_nonbipartite", counted)
+    assert satisfies_r1(g, early_exit=True)[1] == [Fundamental(vset([3, 4, 7]))]
+    early = len(floods)
+    floods.clear()
+    assert len(satisfies_r1(g)[1]) == 11
+    assert early < len(floods)
 
 
 @given(connected_nonbipartite_graphs(max_d=6))

@@ -20,6 +20,7 @@ from edgering import (
     oracle_r1,
     parse_graph6,
     run_sweep,
+    satisfies_odd_cycle_condition,
     serialize_graph6,
 )
 from edgering.cli import main
@@ -198,12 +199,22 @@ def _last_fundamental_set_dropped(monkeypatch):
 
 
 def _triangles_only(monkeypatch):
-    original = edgering.serre.chordless_odd_cycles
+    # the odd cycle condition's search sees only triangles
+    original = edgering.serre.iter_chordless_odd_cycles
 
-    def triangles(g):
-        return [c for c in original(g) if len(c) == 3]
+    def triangles(g, within=None, **kwargs):
+        return ((c, closed) for c, closed in original(g, within, **kwargs) if len(c) == 3)
 
-    monkeypatch.setattr(edgering.serre, "chordless_odd_cycles", triangles)
+    monkeypatch.setattr(edgering.serre, "iter_chordless_odd_cycles", triangles)
+
+
+def test_triangles_only_fault_reaches_the_odd_cycle_condition(monkeypatch):
+    # two 5-cycles joined only through vertex 11: a pair the fault hides
+    g = Graph(11, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7), (7, 8), (8, 9), (9, 10),
+                   (6, 10), (5, 11), (6, 11)))
+    assert satisfies_odd_cycle_condition(g) == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10))
+    _triangles_only(monkeypatch)
+    assert satisfies_odd_cycle_condition(g) is None
 
 
 CONNECTIVITY_TAGS = {"verdict-mismatch", "violation-mismatch", "lattice-vs-connectivity"}
