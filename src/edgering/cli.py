@@ -32,7 +32,7 @@ from .graph import (
     vset,
 )
 from .oracle import facet_conditions, failing_facets, monoid_group
-from .serre import ClassificationReport, classify, satisfies_r1
+from .serre import ClassificationReport, classify, facet_connectivity_holds
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -200,8 +200,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         checks = facet_conditions(g)
         monoid_group(g)  # certifies the group that condition 2 reads in closed form
         oracle_violations = failing_facets(checks)
-        oracle_verdict = not oracle_violations
-        verdict, violations = satisfies_r1(g)
+        violations = [c.facet for c in checks if not facet_connectivity_holds(g, c.facet)]
         agree = violations == oracle_violations
         if args.json:
             print(json.dumps({
@@ -212,8 +211,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     dict(violation_to_dict(c.facet), unit_value=c.unit, lattice_match=c.match)
                     for c in checks
                 ],
-                "r1_lattice": oracle_verdict,
-                "r1_connectivity": verdict,
+                "r1_lattice": not oracle_violations,
+                "r1_connectivity": not violations,
                 "agreement": agree,
             }, sort_keys=True))
         else:
@@ -224,8 +223,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     f"{'pass' if c.unit else 'FAIL'}, lattice-match "
                     f"{'pass' if c.match else 'FAIL'}"
                 )
-            print(f"R1 (lattice): {_bool(oracle_verdict)}")
-            print(f"R1 (connectivity): {_bool(verdict)}")
+            print(f"R1 (lattice): {_bool(not oracle_violations)}")
+            print(f"R1 (connectivity): {_bool(not violations)}")
             print(f"agreement: {'ok' if agree else 'MISMATCH'}")
         if not agree:
             print(f"error: criteria disagree on {input_id}", file=sys.stderr)

@@ -22,7 +22,9 @@ from .oracle import (
     verify_even_sum_basis,
     verify_facet_rank,
 )
-from .serre import facet_connectivity_holds, satisfies_odd_cycle_condition, satisfies_r1
+from .serre import facet_connectivity_holds, satisfies_odd_cycle_condition
+# not called here; bench/tracer.py wraps sweep.satisfies_r1 by that name
+from .serre import satisfies_r1  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,9 @@ def cross_check(g: Graph) -> CrossCheck:
       occ-implies-r1          normal graph failing (R1)
       facet-support           a support form is not a facet form
 
-    Each route's verdict is "no violations", so verdict-mismatch implies
-    violation-mismatch by construction.
+    The criterion is tested at the oracle's records, so the facets are enumerated
+    once and the oracle reads no connectivity result.  Each route's verdict is
+    "no violations", so verdict-mismatch implies violation-mismatch by construction.
     """
     fails: list[str] = []
     certified = True
@@ -60,30 +63,32 @@ def cross_check(g: Graph) -> CrossCheck:
     except DisagreementError:
         certified = False
         fails.append("monoid-group")
-    t_ok, t_viols = satisfies_r1(g)
-    checks = facet_conditions(g) if certified else []
-    o_viols = failing_facets(checks)
-    if certified and t_ok != (not o_viols):
+    checks = facet_conditions(g)
+    holds = [facet_connectivity_holds(g, c.facet) for c in checks]
+    t_viols = [c.facet for c, ok in zip(checks, holds) if not ok]
+    records = checks if certified else []
+    o_viols = failing_facets(records)
+    if certified and (not t_viols) != (not o_viols):
         fails.append("verdict-mismatch")
     if certified and t_viols != o_viols:
         fails.append("violation-mismatch")
     if not verify_even_sum_basis(g):
         fails.append("basis-construction")
-    if not all(c.unit for c in checks):
+    if not all(c.unit for c in records):
         fails.append("unit-value")
-    if any(c.match != facet_connectivity_holds(g, c.facet) for c in checks):
+    if any(c.match != ok for c, ok in zip(records, holds)):
         fails.append("lattice-vs-connectivity")
-    if any(isinstance(c.facet, Fundamental) and not verify_decomposition(g, c) for c in checks):
+    if any(isinstance(c.facet, Fundamental) and not verify_decomposition(g, c) for c in records):
         fails.append("decomposition")
     occ = satisfies_odd_cycle_condition(g)
-    if occ is None and not t_ok:
+    if occ is None and t_viols:
         fails.append("occ-implies-r1")
-    if not all(verify_facet_rank(g, c) for c in checks):
+    if not all(verify_facet_rank(g, c) for c in records):
         fails.append("facet-support")
     return CrossCheck(
         graph6=serialize_graph6(g),
         normal=occ is None,
-        r1=t_ok,
+        r1=not t_viols,
         failures=tuple(fails),
     )
 

@@ -17,6 +17,7 @@ from edgering import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    facet_conditions,
     facet_connectivity_holds,
     facets,
     is_bipartite,
@@ -209,6 +210,19 @@ def test_r1_violations_are_the_facets_failing_their_condition(g):
     failing = [f for f in facets(g) if not facet_connectivity_holds(g, f)]
     assert satisfies_r1(g) == (not failing, failing)
     assert satisfies_r1(g, early_exit=True)[1] == failing[:1]
+
+
+def test_r1_violations_are_the_records_failing_their_condition_on_corpus(corpus7_path):
+    # the sweep and the CLI's oracle test the criterion at facet_conditions'
+    # records instead of calling satisfies_r1; on the d = 7 corpus, where both
+    # verdicts occur, the two agree
+    verdicts = set()
+    for g in parse_graph6(corpus7_path.read_text()):
+        failing = [c.facet for c in facet_conditions(g) if not facet_connectivity_holds(g, c.facet)]
+        assert satisfies_r1(g) == (not failing, failing)
+        assert satisfies_r1(g, early_exit=True)[1] == failing[:1]
+        verdicts.add(not failing)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

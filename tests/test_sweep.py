@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -25,6 +26,9 @@ from edgering import (
 )
 from edgering.cli import main
 from helpers import nx_graph
+
+# edgering.facets is the package's facets() function, not the module
+FACETS = importlib.import_module("edgering.facets")
 
 
 def test_cross_check_clean_on_exhibits(bridge2, bridge1):
@@ -136,6 +140,50 @@ def test_cross_check_builds_monoid_group_once(monkeypatch):
     assert calls == [g]
 
 
+def _count_facet_walks(monkeypatch) -> Counter:
+    # every import site of the two facet enumerations and of the per-facet
+    # connectivity test counts its calls
+    import edgering.cli
+
+    counts: Counter = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("iter_fundamental_sets", "regular_vertices"):
+        wrapper = counted(name, getattr(FACETS, name))
+        for module in (FACETS, edgering.serre):
+            monkeypatch.setattr(module, name, wrapper)
+    wrapper = counted("facet_connectivity_holds", edgering.serre.facet_connectivity_holds)
+    for module in (edgering.serre, edgering.sweep, edgering.cli):
+        monkeypatch.setattr(module, "facet_connectivity_holds", wrapper)
+    return counts
+
+
+def test_cross_check_and_oracle_walk_the_facets_once(monkeypatch, capsys):
+    # the criterion is tested at the oracle's records, so each graph's facets
+    # are enumerated once and each facet's connectivity is tested once
+    path = DATA_DIR / "conn7_sample.g6"
+    graphs = parse_graph6(path.read_text())
+    records = sum(len(edgering.oracle.facet_conditions(g)) for g in graphs)
+    once = {
+        "iter_fundamental_sets": len(graphs),
+        "regular_vertices": len(graphs),
+        "facet_connectivity_holds": records,
+    }
+    counts = _count_facet_walks(monkeypatch)
+    assert all(cross_check(g).failures == () for g in graphs)
+    assert counts == once
+    counts.clear()
+    assert main(["oracle", str(path)]) == 0
+    capsys.readouterr()
+    assert counts == once
+
+
 def test_oracle_paths_certify_the_group_once(monkeypatch, capsys, tmp_path):
     # oracle_r1 and the CLI's oracle certify the group once per graph too
     calls = _count_monoid_group_calls(monkeypatch)
@@ -163,10 +211,6 @@ def test_half_integral_form_is_raised_not_tagged(monkeypatch, bridge1):
     monkeypatch.setattr(edgering.oracle, "facet_forms", halved)
     with pytest.raises(DisagreementError, match="half-integral"):
         cross_check(bridge1)
-
-
-# edgering.facets is the package's facets() function, not the module
-FACETS = importlib.import_module("edgering.facets")
 
 
 def _forms_never_halved(monkeypatch):
