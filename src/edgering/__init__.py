@@ -13,7 +13,6 @@ from .facets import (
     SupportForm,
     facet_forms,
     facets,
-    is_fundamental,
     is_regular_vertex,
     iter_fundamental_sets,
     regular_vertices,

@@ -93,26 +93,6 @@ def regular_vertices(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 # fundamental sets
 
-def is_fundamental(g: Graph, t: VertexSet) -> bool:
-    """Fundamental set test: t independent, the t-to-N(t) bipartite subgraph
-    connected, and every component away from t and N(t) nonbipartite.  For an
-    independent t that subgraph is connected exactly when t is connected
-    through shared neighbours (see iter_fundamental_sets).
-    """
-    if t == 0:
-        raise ValueError("empty vertex set")
-    if t & ~g.full:
-        raise ValueError("vertex set not within 1..d")
-    nb = neighborhood(g, t)
-    if nb & t:
-        return False
-    seen = frontier = t & -t
-    while frontier:
-        frontier = neighborhood(g, neighborhood(g, frontier)) & t & ~seen
-        seen |= frontier
-    return seen == t and every_component_nonbipartite(g, g.full & ~(t | nb))
-
-
 def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
     """Fundamental sets, in lexicographic order of their sorted vertex tuples.
 
@@ -157,16 +137,10 @@ def _form_for(g: Graph, f: FacetDescriptor) -> SupportForm:
 
 
 def support_form(g: Graph, f: FacetDescriptor) -> SupportForm:
-    """Supporting form of a facet descriptor; validates the descriptor."""
-    if isinstance(f, RegularVertex):
-        if not is_regular_vertex(g, f.vertex):
-            raise ValueError(f"vertex {f.vertex} is not regular")
-        return _form_for(g, f)
-    if isinstance(f, Fundamental):
-        if not is_fundamental(g, f.mask):
-            raise ValueError(f"{f!r} is not a fundamental set")
-        return _form_for(g, f)
-    raise TypeError(f"not a facet descriptor: {f!r}")
+    """Supporting form of a facet descriptor; raises ValueError unless f is in facets(g)."""
+    if f not in facets(g):
+        raise ValueError(f"{f!r} is not a facet of this graph")
+    return _form_for(g, f)
 
 
 def facets(g: Graph) -> list[FacetDescriptor]:

@@ -46,6 +46,8 @@ def vset(vertices: Iterable[int]) -> VertexSet:
 
 def members(mask: VertexSet) -> tuple[int, ...]:
     """Ascending 1-based labels of the vertices in a bitmask."""
+    if mask < 0:
+        raise ValueError(f"negative vertex set {mask}")
     out = []
     while mask:
         low = mask & -mask

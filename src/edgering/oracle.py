@@ -16,8 +16,9 @@ support of the form (the vertex i, or T and N(T)) and R the other columns:
 
 * K: pivots every column but the last of P; pivot product 2, or 1 when R is
   empty (the halved form, which agrees with the coordinate sum mod 2);
-* D (:func:`verify_decomposition`) = {x on P : sum_T x = sum_N(T) x} (+) the
-  even-sum lattice of each rest component: the same pivots; product 2 ** #components.
+* D (:func:`verify_decomposition`, at every facet (T, N), T empty at a regular
+  vertex) = {x on P : sum_T x = sum_N x} (+) the even-sum lattice of each rest
+  component: the same pivots; product 2 ** #components.
 
 K's closed form holds inside the even-sum lattice only, so each caller that
 decides (R1) certifies, with :func:`monoid_group` once per graph, that the
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .facets import FacetDescriptor, Fundamental, SupportForm, facet_forms
+from .facets import FacetDescriptor, SupportForm, facet_forms
 # not called here; bench/tracer.py wraps oracle.support_form by that name
 from .facets import support_form  # noqa: F401
 from .graph import (
@@ -177,26 +178,26 @@ def verify_facet_rank(g: Graph, check: FacetCheck) -> bool:
 
 
 def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
-    """Structural identity behind condition 2 at a fundamental set T.
+    """Structural identity behind condition 2 at a facet with sides (T, N).
 
-    The record's zero lattice must equal D, with P = T | N(T):
-    D = {x on P : sum_T x = sum_N(T) x} (+) the even-sum lattice of each rest component;
+    The record's zero lattice must equal D, with P = T | N:
+    D = {x on P : sum_T x = sum_N x} (+) the even-sum lattice of each rest component;
     its pivots are every column but the last of P, its pivot product 2 ** (rest components).
-    The zero lattice lies in D exactly when each zero-valued edge joins T to N(T)
+    The zero lattice lies in D exactly when each zero-valued edge joins T to N
     or misses P, and then equals D exactly when the pivot data agree.  For an
-    independent T the zero lattice is the edge lattice of the T-to-N(T) part
-    plus those of the rest components, so a vertex set meets the identity
-    exactly when it is fundamental.
+    independent T the zero lattice is the edge lattice of the T-to-N part plus
+    those of the rest components, so a vertex set T with N = N(T) meets the
+    identity exactly when it is fundamental.  At a regular vertex i the sides
+    are (empty set, {i}) and D is the even-sum lattice of each component of
+    G - i, so the identity holds exactly when i is regular.
     """
-    if not isinstance(check.facet, Fundamental):
-        raise ValueError("not a fundamental set")
     t, nb = check.facet.sides(g)
     if t & nb:
         return False  # not independent, so not a fundamental set
     for (a, b), v in zip(g.edges, check.values):
         ends = 1 << (a - 1) | 1 << (b - 1)
         if v == 0 and bool(ends & t) != bool(ends & nb):
-            return False  # an edge within N(T) or from N(T) to the rest: not in D
+            return False  # an edge within N or from N to the rest: not in D
     part = t | nb
     rest = connected_components(g, g.full & ~part)
     return (

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .facets import Fundamental
 from .graph import DisagreementError, Graph, is_bipartite, is_connected, serialize_graph6
 from .oracle import (
     facet_conditions,
@@ -48,7 +47,7 @@ def cross_check(g: Graph) -> CrossCheck:
       basis-construction      tree plus odd-closing edge is not a Z-basis of the even-sum lattice
       unit-value              some facet misses a value-1 edge vector
       lattice-vs-connectivity condition 2 differs from the connectivity test
-      decomposition           zero-set lattice identity failed at some T
+      decomposition           zero-set lattice identity failed at some facet
       occ-implies-r1          normal graph failing (R1)
       facet-support           a support form is not a facet form
 
@@ -78,7 +77,7 @@ def cross_check(g: Graph) -> CrossCheck:
         fails.append("unit-value")
     if any(c.match != ok for c, ok in zip(records, holds)):
         fails.append("lattice-vs-connectivity")
-    if any(isinstance(c.facet, Fundamental) and not verify_decomposition(g, c) for c in records):
+    if not all(verify_decomposition(g, c) for c in records):
         fails.append("decomposition")
     occ = satisfies_odd_cycle_condition(g)
     if occ is None and t_viols:

@@ -11,6 +11,7 @@ from edgering import (
     Graph,
     RegularVertex,
     SupportForm,
+    UnsupportedError,
     bridge_graph,
     complete_graph,
     cycle_graph,
@@ -18,7 +19,6 @@ from edgering import (
     facets,
     is_bipartite,
     is_connected,
-    is_fundamental,
     is_regular_vertex,
     iter_fundamental_sets,
     labelled_graphs,
@@ -67,7 +67,8 @@ def test_bridge1_vertex7_regular_but_not_fundamental(bridge1):
     # bipartite piece whose leftover components are single edges, so it is
     # not fundamental
     assert is_regular_vertex(bridge1, 7)
-    assert not is_fundamental(bridge1, vset([7]))
+    with pytest.raises(ValueError, match="not a facet"):
+        support_form(bridge1, Fundamental(vset([7])))
 
 
 @given(connected_nonbipartite_graphs())
@@ -87,9 +88,6 @@ def test_fundamental_sets_bridge2(bridge2):
         (2,), (2, 5, 7, 8), (2, 6, 7, 8),
         (3,), (3, 4), (4,), (5,), (6,),
     ]
-    assert is_fundamental(bridge2, vset([1]))
-    assert not is_fundamental(bridge2, vset([7, 8]))
-    assert not is_fundamental(bridge2, vset([1, 2]))
 
 
 def test_fundamental_sets_small():
@@ -99,13 +97,6 @@ def test_fundamental_sets_small():
     assert [members(t) for t in iter_fundamental_sets(cycle_graph(5))] == [
         (1, 3), (1, 4), (2, 4), (2, 5), (3, 5),
     ]
-
-
-def test_is_fundamental_rejects_bad_sets(bridge2):
-    with pytest.raises(ValueError, match="empty"):
-        is_fundamental(bridge2, 0)
-    with pytest.raises(ValueError, match="within"):
-        is_fundamental(bridge2, 1 << 8)
 
 
 def test_fundamental_enumeration_is_lexicographic(bridge2):
@@ -162,24 +153,18 @@ def test_fundamental_sets_match_brute_force(g):
     assert [members(t) for t in iter_fundamental_sets(g)] == brute_fundamental_sets(g)
 
 
-def test_fundamental_predicate_matches_enumeration_on_all_small_graphs():
-    # every nonempty vertex set of every connected nonbipartite labelled graph
-    # with d <= 5: the predicate's shared-neighbour flood against the enumerator
-    for d in range(1, 6):
-        for g in labelled_graphs(d):
-            if is_connected(g) and not is_bipartite(g):
-                found = set(iter_fundamental_sets(g))
-                for t in range(1, g.full + 1):
-                    assert is_fundamental(g, t) == (t in found), (g, members(t))
-
-
 def test_fundamental_predicate_matches_brute_on_random_subsets():
+    # support_form accepts a vertex set exactly when facets(g) lists it
     rng = random.Random(5)
     for _ in range(30):
         g = random_connected_nonbipartite(rng, 7, 0.35)
         for _ in range(20):
             t = vset(rng.sample(range(1, 8), rng.randint(1, 4)))
-            assert is_fundamental(g, t) == brute_fundamental(g, frozenset(members(t)))
+            if brute_fundamental(g, frozenset(members(t))):
+                support_form(g, Fundamental(t))
+            else:
+                with pytest.raises(ValueError, match="not a facet"):
+                    support_form(g, Fundamental(t))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +194,26 @@ def test_support_form_fundamental_not_exhausting(bridge2):
 
 
 def test_support_form_validates(bridge2):
-    with pytest.raises(ValueError, match="not regular"):
-        support_form(bridge2, RegularVertex(3))
-    with pytest.raises(ValueError, match="not a fundamental set"):
-        support_form(bridge2, Fundamental(vset([7, 8])))
-    with pytest.raises(TypeError, match="descriptor"):
-        support_form(bridge2, "vertex 7")
+    # only a descriptor that facets(g) lists has a form; a negative mask would
+    # loop forever in the error message's repr if members accepted it
+    for f in (
+        RegularVertex(3),
+        Fundamental(vset([7, 8])),
+        Fundamental(0),
+        Fundamental(1 << 8),
+        "vertex 7",
+    ):
+        with pytest.raises(ValueError, match="not a facet"):
+            support_form(bridge2, f)
+    with pytest.raises(ValueError, match="negative"):
+        support_form(bridge2, Fundamental(-1))
+
+
+def test_support_form_refuses_bipartite_and_disconnected_graphs():
+    with pytest.raises(UnsupportedError, match="bipartite"):
+        support_form(cycle_graph(4), Fundamental(vset([1])))
+    with pytest.raises(UnsupportedError, match="not connected"):
+        support_form(Graph(4, ((1, 2), (3, 4))), RegularVertex(1))
 
 
 def test_support_form_type_invariants():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgering import (
+    Fundamental,
     Graph,
     ParseError,
     UnsupportedError,
@@ -53,6 +54,22 @@ def test_vset_members_roundtrip():
     assert members(0b10000101) == (1, 3, 8)
     assert members(0) == ()
     assert vset([]) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: members(-1),
+        lambda: repr(Fundamental(-1)),
+        lambda: list(iter_chordless_odd_cycles(complete_graph(3), -1)),
+    ],
+    ids=["members", "fundamental-repr", "chordless-odd-cycles-within"],
+)
+def test_negative_vertex_set_raises(call):
+    # a negative mask has infinitely many set bits, so reading off its
+    # members would never end
+    with pytest.raises(ValueError, match="negative vertex set"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,22 @@ def test_no_except_clause_catches_broad_errors():
     assert offenders == []
 
 
+def test_only_the_cli_branches_on_the_descriptor_kind():
+    # facets(g) alone says what a facet is, and every check reads a facet
+    # through its sides (T, N); only the CLI's renderers tell the kinds apart
+    kinds = {"RegularVertex", "Fundamental"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                classes = node.args[1]
+                names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+                if {getattr(n, "id", getattr(n, "attr", None)) for n in names} & kinds:
+                    found.append(path.name)
+    assert "cli.py" in found  # the scan sees the renderers' branches
+    assert [name for name in found if name != "cli.py"] == []
+
+
 def _tracer_targets() -> set[tuple[str, str]]:
     # (file, name) of each module-level TARGETS entry of bench/tracer.py, whose
     # owners are the modules bound by name to edgering.<module>

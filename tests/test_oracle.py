@@ -9,6 +9,7 @@ from edgering import (
     facet_forms,
     is_bipartite,
     is_connected,
+    is_regular_vertex,
     labelled_graphs,
     members,
     neighborhood,
@@ -243,14 +244,9 @@ def test_verify_decomposition(bridge2):
     assert verify_decomposition(k3, check_for(k3, Fundamental(vset([1]))))
     assert verify_decomposition(bridge2, check_for(bridge2, Fundamental(vset([1]))))
     assert verify_decomposition(bridge2, check_for(bridge2, Fundamental(vset([3, 4]))))
+    assert verify_decomposition(bridge2, check_for(bridge2, RegularVertex(7)))
     for c in facet_conditions(bridge2):
-        if isinstance(c.facet, Fundamental):
-            assert verify_decomposition(bridge2, c)
-
-
-def test_verify_decomposition_rejects_non_fundamental(bridge2):
-    with pytest.raises(ValueError, match="fundamental"):
-        verify_decomposition(bridge2, check_for(bridge2, RegularVertex(7)))
+        assert verify_decomposition(bridge2, c)
 
 
 def test_verify_checks_reject_wrong_records(bridge1):
@@ -266,23 +262,32 @@ def test_verify_checks_reject_wrong_records(bridge1):
     assert not verify_facet_rank(bridge1, dataclasses.replace(check, zero=IntegerLattice(7, [])))
 
 
-def _vertex_set_records():
-    # every nonempty vertex set T of every connected nonbipartite labelled graph
-    # with d <= 5, with the record T's form would give: -1 on T, +1 on the rest
-    # of N(T), and the lattice of the zero-valued edge vectors.  This reaches
-    # disconnected T-to-N(T) parts, bipartite rest components and
-    # non-independent masks, which no facet record does
+def _unchecked_record(g, f):
+    # the record f's sides (T, N) would give, whether or not f is a facet: -1
+    # on T, +1 on the rest of N, and the lattice of the zero-valued edge vectors
+    t, nb = f.sides(g)
+    coeffs = [-1 if t >> v & 1 else nb >> v & 1 for v in range(g.d)]
+    values = tuple(coeffs[i - 1] + coeffs[j - 1] for i, j in g.edges)
+    vectors = [edge_vector(e, g.d) for e in g.edges]
+    zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
+    return FacetCheck(f, values, zero, 1 in values, False)
+
+
+def _small_graphs():
+    # the 553 connected nonbipartite labelled graphs with d <= 5
     for d in range(1, 6):
         for g in labelled_graphs(d):
-            if not is_connected(g) or is_bipartite(g):
-                continue
-            vectors = [edge_vector(e, d) for e in g.edges]
-            for t in range(1, 1 << d):
-                nb = neighborhood(g, t)
-                coeffs = [-1 if t >> v & 1 else nb >> v & 1 for v in range(d)]
-                values = tuple(coeffs[i - 1] + coeffs[j - 1] for i, j in g.edges)
-                zero = IntegerLattice(d, [vec for vec, v in zip(vectors, values) if v == 0])
-                yield g, t, FacetCheck(Fundamental(t), values, zero, 1 in values, False)
+            if is_connected(g) and not is_bipartite(g):
+                yield g
+
+
+def _vertex_set_records():
+    # every nonempty vertex set T of every small graph, with the record T's
+    # form would give.  This reaches disconnected T-to-N(T) parts, bipartite
+    # rest components and non-independent masks, which no facet record does
+    for g in _small_graphs():
+        for t in range(1, 1 << g.d):
+            yield g, t, _unchecked_record(g, Fundamental(t))
 
 
 def test_verify_decomposition_holds_exactly_at_fundamental_sets():
@@ -291,6 +296,19 @@ def test_verify_decomposition_holds_exactly_at_fundamental_sets():
         assert verify_decomposition(g, check) == brute_fundamental(g, frozenset(members(t)))
         sets_seen += 1
     assert sets_seen == 16815
+
+
+def test_verify_decomposition_holds_exactly_at_regular_vertices():
+    # at a vertex i the sides are (empty set, {i}) and D is the even-sum
+    # lattice of each component of G - i, so regular or not, every vertex
+    # record meets the identity exactly when the vertex is regular
+    vertices_seen = 0
+    for g in _small_graphs():
+        for v in range(1, g.d + 1):
+            check = _unchecked_record(g, RegularVertex(v))
+            assert verify_decomposition(g, check) == is_regular_vertex(g, v), (g, v)
+            vertices_seen += 1
+    assert vertices_seen == 2744
 
 
 def test_verify_decomposition_equals_generator_reference():
@@ -323,8 +341,7 @@ def test_structural_checks_hold_everywhere(g):
     assert verify_even_sum_basis(g)
     for c in facet_conditions(g):
         assert verify_facet_rank(g, c)
-        if isinstance(c.facet, Fundamental):
-            assert verify_decomposition(g, c)
+        assert verify_decomposition(g, c)
 
 
 # ---------------------------------------------------------------------------

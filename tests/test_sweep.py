@@ -281,7 +281,7 @@ FAULT_TABLE = [
     ),
     pytest.param(
         lambda mp: mp.setattr(FACETS, "is_regular_vertex", lambda g, v: True),
-        CONNECTIVITY_TAGS | {"occ-implies-r1", "facet-support"},
+        CONNECTIVITY_TAGS | {"occ-implies-r1", "facet-support", "decomposition"},
         id="every-vertex-regular",
     ),
     pytest.param(
