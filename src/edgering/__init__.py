@@ -13,7 +13,6 @@ from .facets import (
     SupportForm,
     facet_forms,
     facets,
-    is_regular_vertex,
     iter_fundamental_sets,
     regular_vertices,
     support_form,
@@ -34,6 +33,7 @@ from .graph import (
     connected_components,
     connected_within,
     cycle_graph,
+    edge_vector,
     every_component_nonbipartite,
     generate_family,
     is_bipartite,
@@ -52,7 +52,6 @@ from .graph import (
 from .lattice import IntegerLattice, xgcd
 from .oracle import (
     FacetCheck,
-    edge_vector,
     facet_conditions,
     failing_facets,
     monoid_group,

@@ -266,15 +266,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    bridge = args.family == "bridge"
+    flag, params, other = ("k", args.k, args.n) if bridge else ("n", args.n, args.k)
     try:
-        if args.family == "bridge":
-            if args.k is None or args.n is not None:
-                raise ValueError("family 'bridge' takes --k")
-            g = generate_family("bridge", (args.k,))
-        else:
-            if args.n is None or args.k is not None:
-                raise ValueError(f"family {args.family!r} takes --n")
-            g = generate_family(args.family, tuple(args.n))
+        if params is None or other is not None:
+            raise ValueError(f"family {args.family!r} takes --{flag}")
+        g = generate_family(args.family, (params,) if bridge else tuple(params))
     except UnsupportedError:
         raise  # above the vertex bound: exit 3 from main
     except ValueError as exc:

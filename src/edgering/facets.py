@@ -1,7 +1,7 @@
 """Facet data of the edge polytope: regular vertices and fundamental sets.
 
 For a connected nonbipartite graph the facets of the edge polytope come in
-two kinds, each named by a vertex or a vertex set:
+two kinds, which facets(g) alone lists, each named by a vertex or a vertex set:
 
 * a vertex i is regular when every connected component of the graph with i
   deleted contains an odd cycle;
@@ -79,15 +79,10 @@ class SupportForm:
 # ---------------------------------------------------------------------------
 # regular vertices
 
-def is_regular_vertex(g: Graph, v: int) -> bool:
-    """True iff every component of the graph minus v contains an odd cycle."""
-    if not 1 <= v <= g.d:
-        raise ValueError(f"vertex {v} out of range 1..{g.d}")
-    return every_component_nonbipartite(g, g.full & ~(1 << (v - 1)))
-
-
 def regular_vertices(g: Graph) -> list[int]:
-    return [v for v in range(1, g.d + 1) if is_regular_vertex(g, v)]
+    """The vertices v such that every component of g - v contains an odd cycle."""
+    full = g.full
+    return [v for v in range(1, g.d + 1) if every_component_nonbipartite(g, full & ~(1 << (v - 1)))]
 
 
 # ---------------------------------------------------------------------------

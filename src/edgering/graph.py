@@ -1,9 +1,9 @@
 """Finite simple graphs on vertex sets {1, ..., d}.
 
-Vertices carry 1-based labels.  A set of vertices is represented as an int
-bitmask in which bit v-1 stands for vertex v; all set arithmetic downstream
-(unions, complements, floods) is plain integer bit twiddling.  The vertex
-count is capped at 64.  Chordless odd cycles and fundamental sets
+Vertices carry 1-based labels, at most 64 of them.  A vertex set is an int
+bitmask in which bit v-1 stands for vertex v, so set arithmetic is integer bit
+twiddling.  One check refuses a loop or an edge end outside 1..d, and one a
+vertex set with a bit outside 1..d.  Chordless odd cycles and fundamental sets
 (facets.py) are enumerated in time that scales with the chordless paths and
 with the independent sets connected through shared neighbours; both counts
 can be exponential, so some graphs under the cap remain slow.
@@ -40,6 +40,8 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     """Bitmask for a collection of 1-based vertex labels."""
     mask = 0
     for v in vertices:
+        if v < 1:
+            raise ValueError(f"vertex label {v} below 1")
         mask |= 1 << (v - 1)
     return mask
 
@@ -75,19 +77,11 @@ class Graph:
             raise ValueError(f"vertex count must be a positive integer, got {self.d!r}")
         if self.d > MAX_VERTICES:
             raise UnsupportedError(f"vertex count {self.d} exceeds the {MAX_VERTICES}-vertex bound")
-        normalized = []
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"loop at vertex {i}")
-            if not (1 <= i <= self.d and 1 <= j <= self.d):
-                raise ValueError(f"edge {{{i},{j}}} out of range 1..{self.d}")
-            normalized.append((i, j) if i < j else (j, i))
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {{{a[0]},{a[1]}}}")
+        normalized = sorted([_edge(i, j, self.d) for i, j in self.edges])
         adj = [0] * self.d
-        for i, j in normalized:
+        for i, j in normalized:  # in sorted order, so the smallest duplicate is named
+            if adj[i - 1] >> (j - 1) & 1:
+                raise ValueError(f"duplicate edge {{{i},{j}}}")
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
         object.__setattr__(self, "edges", tuple(normalized))
@@ -104,6 +98,23 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i - 1] >> (j - 1) & 1)
+
+
+def _edge(i: int, j: int, d: int) -> Edge:
+    # the one edge rule: no loop and both ends in 1..d; returns the sorted pair
+    if i == j:
+        raise ValueError(f"loop at vertex {i}")
+    if not (1 <= i <= d and 1 <= j <= d):
+        raise ValueError(f"edge {{{i},{j}}} out of range 1..{d}")
+    return (i, j) if i < j else (j, i)
+
+
+def edge_vector(e: Edge, d: int) -> tuple[int, ...]:
+    """The 0/1 vector e_i + e_j of an edge {i, j} in Z^d."""
+    i, j = _edge(*e, d)
+    v = [0] * d
+    v[i - 1] = v[j - 1] = 1
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +160,10 @@ def parse_edge_list(text: str) -> Graph:
         if len(edges) == n:
             raise ParseError(f"line {ln}: trailing data after {n} edges")
         i, j = _two_integers(tokens, ln, line, "edge 'i j'")
-        if i == j:
-            raise ParseError(f"line {ln}: loop at vertex {i}")
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise ParseError(f"line {ln}: edge {{{i},{j}}} out of range 1..{d}")
-        e = (i, j) if i < j else (j, i)
+        try:
+            e = _edge(i, j, d)
+        except ValueError as exc:
+            raise ParseError(f"line {ln}: {exc}") from None
         if e in seen:
             raise ParseError(f"line {ln}: duplicate edge {{{e[0]},{e[1]}}}")
         seen.add(e)
@@ -260,6 +270,12 @@ def serialize_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # connectivity and odd cycles
 
+def _checked_set(g: Graph, s: VertexSet) -> VertexSet:
+    if s >> g.d:  # a bit past vertex d; members() raises its own error for a negative s
+        raise ValueError(f"vertex set {list(members(s))} out of range 1..{g.d}")
+    return s
+
+
 def _flood(g: Graph, start: VertexSet, within: VertexSet) -> VertexSet:
     # vertices of `within` reachable from `start`; start must lie inside `within`
     seen = start
@@ -279,7 +295,7 @@ def _flood(g: Graph, start: VertexSet, within: VertexSet) -> VertexSet:
 
 def connected_within(g: Graph, s: VertexSet) -> bool:
     """True iff s is empty or induces a connected subgraph."""
-    if s == 0:
+    if _checked_set(g, s) == 0:
         return True
     return _flood(g, s & -s, s) == s
 
@@ -293,7 +309,7 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
 
     With `within` given, components of the subgraph induced on that set.
     """
-    rem = g.full if within is None else within
+    rem = g.full if within is None else _checked_set(g, within)
     comps = []
     while rem:
         comp = _flood(g, rem & -rem, rem)
@@ -313,10 +329,10 @@ def every_component_nonbipartite(g: Graph, within: VertexSet, some: bool = False
 
     An empty set passes vacuously, and fails with some=True.  A component
     has an odd cycle exactly when walks of even and of odd length from one
-    vertex meet.
+    vertex meet.  Unchecked: `within` must be a set of g's vertices.
     """
-    # `some` is not keyword-only: the ESU of facets.py calls this once per
-    # node, and CPython calls a function with keyword-only defaults slower
+    # unchecked, with `some` not keyword-only, as the ESU of facets.py calls this
+    # once per node and CPython calls a function with keyword-only defaults slower
     adj = g.adj
     while within:
         even = new_even = within & -within
@@ -352,7 +368,7 @@ def every_component_nonbipartite(g: Graph, within: VertexSet, some: bool = False
 def neighborhood(g: Graph, t: VertexSet) -> VertexSet:
     """Union of the neighbor sets of the vertices in t."""
     out = 0
-    m = t & g.full
+    m = _checked_set(g, t)
     while m:
         low = m & -m
         out |= g.adj[low.bit_length() - 1]
@@ -388,8 +404,7 @@ def iter_chordless_odd_cycles(
     only grows as P grows, and a subgraph of a bipartite graph is bipartite.
     """
     adj, full = g.adj, g.full
-    if within is None:
-        within = full
+    within = full if within is None else _checked_set(g, within)
     for s in members(within):
         above = within & (-1 << s)  # vertices of `within` larger than s
         ns = adj[s - 1] & above

@@ -1,8 +1,8 @@
 """Monoid-lattice route to (R1), independent of the connectivity criterion.
 
-The edge ring is the monoid ring of the monoid generated by the edge
-vectors e_i + e_j inside Z^d.  Over each facet of the edge polytope the
-ring is regular in codimension one exactly when two exact conditions hold:
+The edge ring is the monoid ring of the monoid generated by the edge vectors
+e_i + e_j in Z^d (graph.edge_vector).  Over each facet of the edge polytope
+the ring is regular in codimension one exactly when two exact conditions hold:
 
 1. some edge vector evaluates to 1 under the normalized supporting form;
 2. the edge vectors on which the form vanishes generate, as a lattice, the
@@ -46,28 +46,15 @@ from .facets import FacetDescriptor, SupportForm, facet_forms
 from .facets import support_form  # noqa: F401
 from .graph import (
     DisagreementError,
-    Edge,
     Graph,
     UnsupportedError,
     connected_components,
+    edge_vector,
     is_bipartite,
     odd_spanning_edges,
     require_connected,
 )
-from .lattice import IntegerLattice, IntVec
-
-
-def edge_vector(e: Edge, d: int) -> IntVec:
-    """The 0/1 vector e_i + e_j of an edge {i, j} in Z^d."""
-    i, j = e
-    if i == j:
-        raise ValueError(f"loop at vertex {i}")
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise ValueError(f"edge {{{i},{j}}} out of range 1..{d}")
-    v = [0] * d
-    v[i - 1] = 1
-    v[j - 1] = 1
-    return tuple(v)
+from .lattice import IntegerLattice
 
 
 def monoid_group(g: Graph) -> IntegerLattice:

@@ -19,7 +19,6 @@ from edgering import (
     facets,
     is_bipartite,
     is_connected,
-    is_regular_vertex,
     iter_fundamental_sets,
     labelled_graphs,
     members,
@@ -44,9 +43,6 @@ from helpers import (
 
 def test_regular_vertices_bridge2(bridge2):
     assert regular_vertices(bridge2) == [1, 2, 5, 6, 7, 8]
-    assert not is_regular_vertex(bridge2, 3)
-    assert not is_regular_vertex(bridge2, 4)
-    assert is_regular_vertex(bridge2, 7)
 
 
 def test_regular_vertices_small():
@@ -55,18 +51,11 @@ def test_regular_vertices_small():
     assert regular_vertices(complete_graph(4)) == [1, 2, 3, 4]
 
 
-def test_regular_vertex_out_of_range(bridge2):
-    with pytest.raises(ValueError, match="out of range"):
-        is_regular_vertex(bridge2, 9)
-    with pytest.raises(ValueError, match="out of range"):
-        is_regular_vertex(bridge2, 0)
-
-
 def test_bridge1_vertex7_regular_but_not_fundamental(bridge1):
     # deleting 7 leaves the two triangles, so 7 is regular; but {7} spans a
     # bipartite piece whose leftover components are single edges, so it is
     # not fundamental
-    assert is_regular_vertex(bridge1, 7)
+    assert 7 in regular_vertices(bridge1)
     with pytest.raises(ValueError, match="not a facet"):
         support_form(bridge1, Fundamental(vset([7])))
 
@@ -74,8 +63,7 @@ def test_bridge1_vertex7_regular_but_not_fundamental(bridge1):
 @given(connected_nonbipartite_graphs())
 @settings(max_examples=40)
 def test_regular_vertices_match_brute_force(g):
-    for v in range(1, g.d + 1):
-        assert is_regular_vertex(g, v) == brute_regular_vertex(g, v)
+    assert regular_vertices(g) == [v for v in range(1, g.d + 1) if brute_regular_vertex(g, v)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from edgering import (
     connected_components,
     connected_within,
     cycle_graph,
+    edge_vector,
     every_component_nonbipartite,
     generate_family,
     is_bipartite,
@@ -56,19 +57,39 @@ def test_vset_members_roundtrip():
     assert vset([]) == 0
 
 
+# the public functions that take a vertex set of a graph and check it
+SET_ARGUMENT_CALLS = {
+    "neighborhood": neighborhood,
+    "connected-within": connected_within,
+    "connected-components": connected_components,
+    "chordless-odd-cycles-within": lambda g, s: list(iter_chordless_odd_cycles(g, s)),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, pattern",
     [
-        lambda: members(-1),
-        lambda: repr(Fundamental(-1)),
-        lambda: list(iter_chordless_odd_cycles(complete_graph(3), -1)),
+        pytest.param(lambda: members(-1), "negative vertex set", id="members"),
+        pytest.param(lambda: repr(Fundamental(-1)), "negative vertex set", id="fundamental-repr"),
+        pytest.param(lambda: vset([2, 0]), "vertex label 0 below 1", id="vset-label-0"),
+        *(
+            pytest.param(lambda f=f: f(complete_graph(3), -1), "negative vertex set", id=name)
+            for name, f in SET_ARGUMENT_CALLS.items()
+        ),
+        *(
+            pytest.param(
+                lambda f=f: f(complete_graph(3), 1 << 3),
+                re.escape("vertex set [4] out of range 1..3"),
+                id=f"{name}-past-d",
+            )
+            for name, f in SET_ARGUMENT_CALLS.items()
+        ),
     ],
-    ids=["members", "fundamental-repr", "chordless-odd-cycles-within"],
 )
-def test_negative_vertex_set_raises(call):
+def test_negative_vertex_set_raises(call, pattern):
     # a negative mask has infinitely many set bits, so reading off its
-    # members would never end
-    with pytest.raises(ValueError, match="negative vertex set"):
+    # members would never end; a bit past vertex d names no vertex of the graph
+    with pytest.raises(ValueError, match=pattern):
         call()
 
 
@@ -101,6 +122,19 @@ def test_graph_rejects_duplicates():
 def test_graph_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         Graph(3, ((1, 4),))
+
+
+@pytest.mark.parametrize("edge", [(2, 2), (0, 1), (1, 4)], ids=["loop", "end-0", "end-d-plus-1"])
+def test_edge_rule_gives_one_message(edge):
+    # Graph, edge_vector and the edge-list parser share one edge check
+    with pytest.raises(ValueError) as graph_error:
+        Graph(3, (edge,))
+    with pytest.raises(ValueError) as vector_error:
+        edge_vector(edge, 3)
+    with pytest.raises(ParseError) as parse_error:
+        parse_edge_list("3 1\n%d %d\n" % edge)
+    assert str(vector_error.value) == str(graph_error.value)
+    assert str(parse_error.value) == f"line 2: {graph_error.value}"
 
 
 def test_graph_rejects_bad_vertex_count():

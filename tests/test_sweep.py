@@ -280,7 +280,7 @@ FAULT_TABLE = [
         id="forms-never-halved",
     ),
     pytest.param(
-        lambda mp: mp.setattr(FACETS, "is_regular_vertex", lambda g, v: True),
+        lambda mp: mp.setattr(FACETS, "regular_vertices", lambda g: list(range(1, g.d + 1))),
         CONNECTIVITY_TAGS | {"occ-implies-r1", "facet-support", "decomposition"},
         id="every-vertex-regular",
     ),
