@@ -34,7 +34,7 @@ from .graph import (
     connected_within,
     cycle_graph,
     edge_vector,
-    every_component_nonbipartite,
+    first_component,
     generate_family,
     is_bipartite,
     is_connected,

@@ -99,11 +99,18 @@ def report_to_dict(input_id: str, g: Graph, report: ClassificationReport) -> dic
 
 def report_from_dict(dct: dict) -> ClassificationReport:
     occ = dct["occ_violation"]
+    violations = tuple(violation_from_dict(v) for v in dct["r1_violations"])
+    labels = [v for c in occ or () for v in c]
+    for f in violations:
+        labels += f.vertices if isinstance(f, Fundamental) else [f.vertex]
+    for v in labels:
+        if not 1 <= v <= dct["d"]:
+            raise ValueError(f"vertex {v} out of range 1..{dct['d']}")
     return ClassificationReport(
         bipartite=dct["bipartite"],
         normal=dct["normal"],
         r1=dct["r1"],
-        r1_violations=tuple(violation_from_dict(v) for v in dct["r1_violations"]),
+        r1_violations=violations,
         occ_violation=tuple(tuple(c) for c in occ) if occ is not None else None,
         notes=dct["notes"],
     )

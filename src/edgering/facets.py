@@ -9,7 +9,9 @@ two kinds, which facets(g) alone lists, each named by a vertex or a vertex set:
   the edges between T and its neighborhood N(T) is connected, and the rest
   of the graph is empty or has an odd cycle in every component.  They are
   enumerated in time that scales with the independent sets connected
-  through shared neighbours, not with all independent sets.
+  through shared neighbours, not with all independent sets; a bipartite
+  piece of the rest passes from a search node to its children, so most
+  nodes are decided without a flood of their own.
 
 Each descriptor reads as a pair (T, N) through its sides(g) method: (T, N(T))
 for a fundamental set, and (empty set, {i}) for a regular vertex i.  Its
@@ -26,7 +28,7 @@ from .graph import (
     Graph,
     UnsupportedError,
     VertexSet,
-    every_component_nonbipartite,
+    first_component,
     is_bipartite,
     members,
     neighborhood,
@@ -82,7 +84,7 @@ class SupportForm:
 def regular_vertices(g: Graph) -> list[int]:
     """The vertices v such that every component of g - v contains an odd cycle."""
     full = g.full
-    return [v for v in range(1, g.d + 1) if every_component_nonbipartite(g, full & ~(1 << (v - 1)))]
+    return [v for v in range(1, g.d + 1) if not first_component(g, full & ~(1 << (v - 1)), False)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +104,25 @@ def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
         out = []
         root = 1 << r
         above = -root << 1
-        # (T, N(T), extension set, T and its H-neighbours); T's smallest
-        # vertex is r, and a child adds w with its fresh H-neighbours above r
-        stack = [(root, adj[r], share[r] & above & ~adj[r], root | share[r])]
+        # (T, N(T), extension set, T and its H-neighbours, bad); T's smallest
+        # vertex is r, and a child adds w with its fresh H-neighbours above r.
+        # bad is 0 or a union of bipartite components of the rest V - T - N(T);
+        # a child's rest loses w and N(w), and what bad keeps is still such a union
+        stack = [(root, adj[r], share[r] & above & ~adj[r], root | share[r], 0)]
         while stack:
-            t, nb, ext, reached = stack.pop()
-            if every_component_nonbipartite(g, full & ~(t | nb)):
-                out.append(t)
+            t, nb, ext, reached, bad = stack.pop()
+            if not bad:
+                bad = first_component(g, full & ~(t | nb), False)
+                if not bad:
+                    out.append(t)
             while ext:
                 w = ext & -ext
                 ext ^= w
                 i = w.bit_length() - 1
                 child_nb = nb | adj[i]
                 fresh = share[i] & above & ~reached
-                stack.append((t | w, child_nb, (ext | fresh) & ~child_nb, reached | share[i]))
+                stack.append((t | w, child_nb, (ext | fresh) & ~child_nb, reached | share[i],
+                              bad & ~(w | adj[i])))
         # every sorted tuple here starts with r, so each root's sets come out
         # before the next root's are searched
         yield from sorted(out, key=members)

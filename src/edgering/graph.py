@@ -2,11 +2,12 @@
 
 Vertices carry 1-based labels, at most 64 of them.  A vertex set is an int
 bitmask in which bit v-1 stands for vertex v, so set arithmetic is integer bit
-twiddling.  One check refuses a loop or an edge end outside 1..d, and one a
-vertex set with a bit outside 1..d.  Chordless odd cycles and fundamental sets
-(facets.py) are enumerated in time that scales with the chordless paths and
-with the independent sets connected through shared neighbours; both counts
-can be exponential, so some graphs under the cap remain slow.
+twiddling.  One check refuses a loop or an edge end outside 1..d, one a vertex
+set with a bit outside 1..d, and one parity flood finds a component with or
+without an odd cycle.  Chordless odd cycles and fundamental sets (facets.py)
+are enumerated in time that scales with the chordless paths and with the
+independent sets connected through shared neighbours; both counts can be
+exponential, so some graphs under the cap remain slow.
 """
 
 from __future__ import annotations
@@ -319,20 +320,20 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
 
 
 def is_bipartite(g: Graph) -> bool:
-    return not every_component_nonbipartite(g, g.full, some=True)
+    return not first_component(g, g.full, True)
 
 
-def every_component_nonbipartite(g: Graph, within: VertexSet, some: bool = False) -> bool:
-    """True iff each connected piece of `within` contains an odd cycle; with
-    some=True, iff at least one piece does, that is, iff `within` induces a
-    nonbipartite subgraph.
+def first_component(g: Graph, within: VertexSet, odd_cycle: bool) -> VertexSet:
+    """The lowest-labelled connected piece of `within` that contains an odd
+    cycle if odd_cycle is true, or that contains none if it is false; 0 when
+    no piece qualifies, an empty `within` included.
 
-    An empty set passes vacuously, and fails with some=True.  A component
-    has an odd cycle exactly when walks of even and of odd length from one
-    vertex meet.  Unchecked: `within` must be a set of g's vertices.
+    A component has an odd cycle exactly when walks of even and of odd
+    length from one vertex meet.  Unchecked: `within` must be a set of g's
+    vertices.
     """
-    # unchecked, with `some` not keyword-only, as the ESU of facets.py calls this
-    # once per node and CPython calls a function with keyword-only defaults slower
+    # unchecked and with a positional flag, as the ESU of facets.py calls this
+    # in its search loop, where a keyword-only argument costs time
     adj = g.adj
     while within:
         even = new_even = within & -within
@@ -351,15 +352,10 @@ def every_component_nonbipartite(g: Graph, within: VertexSet, some: bool = False
             new_odd = to_odd & within & ~odd
             even |= new_even
             odd |= new_odd
-        if even & odd:
-            if some:
-                return True
-            within &= ~even  # the whole piece, as it is nonbipartite
-        elif some:
-            within &= ~(even | odd)
-        else:
-            return False
-    return not some
+        if bool(even & odd) == odd_cycle:
+            return even | odd
+        within &= ~(even | odd)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +416,7 @@ def iter_chordless_odd_cycles(
             stack = [((s, v1), 1 << (s - 1) | low, adj[s - 1] | adj[v1 - 1])]
             while stack:
                 path, barred, closed = stack.pop()
-                if exceptional and not every_component_nonbipartite(g, full & ~closed, some=True):
+                if exceptional and not first_component(g, full & ~closed, True):
                     continue
                 if barred is None:
                     yield path, closed

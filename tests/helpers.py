@@ -7,6 +7,7 @@ can compare two implementations that share no code.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -181,7 +182,7 @@ def independent_set_scan_fundamental_sets(g: Graph) -> list[int]:
     independence number; the reference the common-neighbour-graph
     enumerator is compared against.  The rest condition is checked on
     networkx, as brute_fundamental does, not through the package's parity
-    flood every_component_nonbipartite.
+    flood first_component.
     """
     d = g.d
 
@@ -275,6 +276,22 @@ def random_connected_nonbipartite(rng: random.Random, d: int, p: float) -> Graph
         g = random_graph(rng, d, p)
         if is_connected(g) and not is_bipartite(g):
             return g
+
+
+def count_rest_floods(monkeypatch) -> list[int]:
+    """The list into which every parity flood that facets.py runs records
+    its vertex set, until monkeypatch is undone."""
+    # by module path: the package re-exports the function facets()
+    module = importlib.import_module("edgering.facets")
+    floods: list[int] = []
+    original = module.first_component
+
+    def counted(g, within, odd_cycle):
+        floods.append(within)
+        return original(g, within, odd_cycle)
+
+    monkeypatch.setattr(module, "first_component", counted)
+    return floods
 
 
 # hypothesis strategies

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import edgering
-from edgering import Graph, bridge_graph, classify, serialize_edge_list, serialize_graph6
+from edgering import (
+    Graph,
+    bridge_graph,
+    classify,
+    complete_graph,
+    serialize_edge_list,
+    serialize_graph6,
+)
 from edgering.cli import main, report_from_dict, report_to_dict
 
 from conftest import DATA_DIR
@@ -431,3 +438,19 @@ def test_report_from_dict_rejects_unknown_kind():
             "r1_violations": [{"kind": "mystery"}],
             "occ_violation": None, "notes": "",
         })
+
+
+@pytest.mark.parametrize("v", [0, 9])
+@pytest.mark.parametrize("field", ["regular_vertex", "fundamental_set", "occ_violation"])
+def test_report_from_dict_rejects_labels_outside_the_graph(field, v):
+    # d is read from the report itself; complete_graph(4) is the valid base
+    payload = report_to_dict("x", complete_graph(4), classify(complete_graph(4)))
+    assert payload["d"] == 4
+    if field == "regular_vertex":
+        payload["r1_violations"] = [{"kind": "regular_vertex", "vertex": v}]
+    elif field == "fundamental_set":
+        payload["r1_violations"] = [{"kind": "fundamental_set", "set": [1, v]}]
+    else:
+        payload["occ_violation"] = [[1, 2, 3], [2, 3, v]]
+    with pytest.raises(ValueError, match="out of range|below 1"):
+        report_from_dict(payload)

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     brute_fundamental_sets,
     brute_regular_vertex,
     connected_nonbipartite_graphs,
+    count_rest_floods,
     form_value,
     independent_set_scan_fundamental_sets,
     random_connected_nonbipartite,
@@ -99,11 +101,19 @@ def test_fundamental_sets_match_independent_set_scan_on_all_small_graphs():
                 assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g), g
 
 
-@pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 0.8])
-@pytest.mark.parametrize("d", range(8, 17))
-def test_fundamental_sets_match_independent_set_scan_on_random_graphs(d, p):
+# G(d, p) rows, plus sparse connected nonbipartite rows: their rests split
+# into the most bipartite pieces, which the enumeration hands down its search
+GNP_ROWS = [
+    pytest.param(d, p, random_graph, id=f"{d}-{p}")
+    for d in range(8, 17)
+    for p in (0.2, 0.3, 0.5, 0.8)
+] + [pytest.param(d, 0.15, random_connected_nonbipartite, id=f"{d}-0.15") for d in range(17, 23)]
+
+
+@pytest.mark.parametrize("d, p, draw", GNP_ROWS)
+def test_fundamental_sets_match_independent_set_scan_on_random_graphs(d, p, draw):
     rng = random.Random(f"gnp-{d}-{p}")
-    g = random_graph(rng, d, p)
+    g = draw(rng, d, p)
     assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g)
 
 
@@ -115,6 +125,45 @@ def test_fundamental_sets_match_independent_set_scan_on_relabelled_bridges(k):
     image = random.Random(f"bridge-{k}").sample(range(1, d + 1), d)
     g = Graph(d, tuple((image[i - 1], image[j - 1]) for i, j in bridge_graph(k).edges))
     assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g)
+
+
+def esu_work(monkeypatch, g: Graph) -> tuple[int, int]:
+    """(rest floods, search nodes) of one run of iter_fundamental_sets on g.
+
+    Floods are counted at the enumeration's call of first_component, and
+    nodes as the executions of its stack.pop() line, through a line tracer
+    on the enumeration's own frames.
+    """
+    floods = count_rest_floods(monkeypatch)
+    code = iter_fundamental_sets.__code__
+    lines, first = inspect.getsourcelines(iter_fundamental_sets)
+    pop_line = first + next(k for k, line in enumerate(lines) if "stack.pop()" in line)
+    nodes = 0
+
+    def local(frame, event, arg):
+        nonlocal nodes
+        if event == "line" and frame.f_lineno == pop_line:
+            nodes += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        list(iter_fundamental_sets(g))
+    finally:
+        sys.settrace(previous)
+    return len(floods), nodes
+
+
+@pytest.mark.parametrize("k", range(6, 15))
+def test_bridge_enumeration_floods_linearly_and_visits_every_node(monkeypatch, k):
+    # the middle vertices of bridge_graph(k) give 9 * 2^k - 2 search nodes; the
+    # bipartite rest piece a node hands to its children decides nearly all
+    # of them, so the floods grow linearly.  A lost piece raises the flood
+    # count, and a cut subtree lowers the node count
+    floods, nodes = esu_work(monkeypatch, bridge_graph(k))
+    assert floods == 13 * k + 3
+    assert nodes == 9 * 2**k - 2 >= 2**k
 
 
 def test_fundamental_enumeration_is_a_generator_function():

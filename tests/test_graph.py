@@ -21,7 +21,7 @@ from edgering import (
     connected_within,
     cycle_graph,
     edge_vector,
-    every_component_nonbipartite,
+    first_component,
     generate_family,
     is_bipartite,
     is_connected,
@@ -360,16 +360,20 @@ def test_is_bipartite_matches_networkx(d):
 @pytest.mark.parametrize("d", range(1, 11))
 def test_every_component_nonbipartite_matches_networkx(d):
     # the parity flood against its definition, on every vertex subset
-    # including the empty one
+    # including the empty one: for each flag it returns the lowest-labelled
+    # whole component with that odd-cycle status, or 0 when there is none;
+    # so every component is nonbipartite exactly when the False flood gives 0
     rng = random.Random(f"parity-{d}")
     for p in (0.2, 0.35, 0.6):
         g = random_graph(rng, d, p)
         h = nx_graph(g)
         for s in range(1 << d):
             sub = h.subgraph(members(s))
-            odd = [not nx.is_bipartite(sub.subgraph(c)) for c in nx.connected_components(sub)]
-            assert every_component_nonbipartite(g, s) == all(odd), (g, s)
-            assert every_component_nonbipartite(g, s, some=True) == any(odd), (g, s)
+            comps = sorted((vset(c) for c in nx.connected_components(sub)), key=lambda c: c & -c)
+            odd = [not nx.is_bipartite(sub.subgraph(members(c))) for c in comps]
+            for odd_cycle in (False, True):
+                want = next((c for c, o in zip(comps, odd) if o == odd_cycle), 0)
+                assert first_component(g, s, odd_cycle) == want, (g, s, odd_cycle)
 
 
 # ---------------------------------------------------------------------------

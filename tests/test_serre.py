@@ -1,4 +1,3 @@
-import importlib
 import random
 
 import pytest
@@ -32,6 +31,7 @@ from helpers import (
     as_brute_violation,
     brute_r1,
     connected_nonbipartite_graphs,
+    count_rest_floods,
     is_occ_witness,
     pair_loop_odd_cycle_condition,
     random_connected_nonbipartite,
@@ -169,18 +169,11 @@ def test_r1_early_exit_is_the_first_violation_on_sparse_graphs():
 
 
 def test_r1_early_exit_stops_the_enumeration(monkeypatch):
-    # counted in rest floods, one per enumeration node: the early exit ends
-    # the enumeration after the root of its first violation, vertex 3
-    facets_module = importlib.import_module("edgering.facets")
+    # counted in rest floods, which the enumeration runs on every node that
+    # inherits no bipartite rest piece: the early exit ends the enumeration
+    # after the root of its first violation, vertex 3
     g = random_connected_nonbipartite(random.Random(5), 22, 0.15)
-    floods = []
-    original = facets_module.every_component_nonbipartite
-
-    def counted(h, within):
-        floods.append(within)
-        return original(h, within)
-
-    monkeypatch.setattr(facets_module, "every_component_nonbipartite", counted)
+    floods = count_rest_floods(monkeypatch)
     assert satisfies_r1(g, early_exit=True)[1] == [Fundamental(vset([3, 4, 7]))]
     early = len(floods)
     floods.clear()
