@@ -78,6 +78,8 @@ def violation_from_dict(dct: dict) -> FacetDescriptor:
     if dct["kind"] == "regular_vertex":
         return RegularVertex(dct["vertex"])
     if dct["kind"] == "fundamental_set":
+        if not dct["set"] or len(set(dct["set"])) != len(dct["set"]):
+            raise ValueError(f"fundamental set {dct['set']!r} is empty or repeats a vertex")
         return Fundamental(vset(dct["set"]))
     raise ValueError(f"unknown violation kind {dct.get('kind')!r}")
 
@@ -106,6 +108,9 @@ def report_from_dict(dct: dict) -> ClassificationReport:
     for v in labels:
         if not 1 <= v <= dct["d"]:
             raise ValueError(f"vertex {v} out of range 1..{dct['d']}")
+    if occ is not None and (len(occ) != 2 or len({*occ[0], *occ[1]}) != len(occ[0]) + len(occ[1])
+                            or any(len(c) < 3 or len(c) % 2 == 0 for c in occ)):
+        raise ValueError(f"occ_violation {occ!r} is not two vertex-disjoint odd cycles")
     return ClassificationReport(
         bipartite=dct["bipartite"],
         normal=dct["normal"],

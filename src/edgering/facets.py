@@ -8,10 +8,10 @@ two kinds, which facets(g) alone lists, each named by a vertex or a vertex set:
 * an independent set T is fundamental when the bipartite subgraph spanned by
   the edges between T and its neighborhood N(T) is connected, and the rest
   of the graph is empty or has an odd cycle in every component.  They are
-  enumerated in time that scales with the independent sets connected
-  through shared neighbours, not with all independent sets; a bipartite
-  piece of the rest passes from a search node to its children, so most
-  nodes are decided without a flood of their own.
+  enumerated in time that scales with the independent sets connected through
+  shared neighbours; a bipartite piece of the rest passes from a search node
+  to its children, so most nodes need no flood, and the flood that decides a
+  set also says whether its rest is connected.
 
 Each descriptor reads as a pair (T, N) through its sides(g) method: (T, N(T))
 for a fundamental set, and (empty set, {i}) for a regular vertex i.  Its
@@ -84,14 +84,15 @@ class SupportForm:
 def regular_vertices(g: Graph) -> list[int]:
     """The vertices v such that every component of g - v contains an odd cycle."""
     full = g.full
-    return [v for v in range(1, g.d + 1) if not first_component(g, full & ~(1 << (v - 1)), False)]
+    return [v for v in range(1, g.d + 1) if not first_component(g, full ^ (1 << (v - 1)), False)[0]]
 
 
 # ---------------------------------------------------------------------------
 # fundamental sets
 
-def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
-    """Fundamental sets, in lexicographic order of their sorted vertex tuples.
+def iter_fundamental_sets(g: Graph) -> Iterator[tuple[VertexSet, VertexSet, bool]]:
+    """(T, N(T), connected) for each fundamental set T, in lexicographic order
+    of the sorted tuples of T; connected: V - (T | N(T)) is empty or connected.
 
     An independent T has a connected T-to-N(T) bipartite part exactly when
     T is connected in the graph H where two vertices share a neighbour.  So
@@ -112,9 +113,10 @@ def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
         while stack:
             t, nb, ext, reached, bad = stack.pop()
             if not bad:
-                bad = first_component(g, full & ~(t | nb), False)
+                rest = full & ~(t | nb)
+                bad, lowest = first_component(g, rest, False)
                 if not bad:
-                    out.append(t)
+                    out.append((t, nb, lowest == rest))
             while ext:
                 w = ext & -ext
                 ext ^= w
@@ -125,7 +127,7 @@ def iter_fundamental_sets(g: Graph) -> Iterator[VertexSet]:
                               bad & ~(w | adj[i])))
         # every sorted tuple here starts with r, so each root's sets come out
         # before the next root's are searched
-        yield from sorted(out, key=members)
+        yield from sorted(out, key=lambda e: members(e[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +158,7 @@ def facets(g: Graph) -> list[FacetDescriptor]:
     if is_bipartite(g):
         raise UnsupportedError("graph is bipartite; facet data needs an odd cycle")
     out: list[FacetDescriptor] = [RegularVertex(v) for v in regular_vertices(g)]
-    out += [Fundamental(t) for t in iter_fundamental_sets(g)]
+    out += [Fundamental(t) for t, _, _ in iter_fundamental_sets(g)]
     return out
 
 

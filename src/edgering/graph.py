@@ -320,21 +320,22 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
 
 
 def is_bipartite(g: Graph) -> bool:
-    return not first_component(g, g.full, True)
+    return not first_component(g, g.full, True)[0]
 
 
-def first_component(g: Graph, within: VertexSet, odd_cycle: bool) -> VertexSet:
-    """The lowest-labelled connected piece of `within` that contains an odd
-    cycle if odd_cycle is true, or that contains none if it is false; 0 when
-    no piece qualifies, an empty `within` included.
+def first_component(g: Graph, within: VertexSet, odd_cycle: bool) -> tuple[VertexSet, VertexSet]:
+    """(piece, lowest): the lowest-labelled component of `within` with an odd
+    cycle if odd_cycle is true, or without one if it is false, or 0; and the
+    first component flooded, that of `within`'s lowest vertex (0 if empty).
 
     A component has an odd cycle exactly when walks of even and of odd
-    length from one vertex meet.  Unchecked: `within` must be a set of g's
-    vertices.
+    length from one vertex meet; `within` is connected exactly when lowest ==
+    within.  Unchecked: `within` must be a set of g's vertices.
     """
     # unchecked and with a positional flag, as the ESU of facets.py calls this
     # in its search loop, where a keyword-only argument costs time
     adj = g.adj
+    lowest = 0
     while within:
         even = new_even = within & -within
         odd = new_odd = 0
@@ -352,10 +353,12 @@ def first_component(g: Graph, within: VertexSet, odd_cycle: bool) -> VertexSet:
             new_odd = to_odd & within & ~odd
             even |= new_even
             odd |= new_odd
+        piece = even | odd
+        lowest = lowest or piece
         if bool(even & odd) == odd_cycle:
-            return even | odd
-        within &= ~(even | odd)
-    return 0
+            return piece, lowest
+        within &= ~piece
+    return 0, lowest
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,7 @@ def iter_chordless_odd_cycles(
             stack = [((s, v1), 1 << (s - 1) | low, adj[s - 1] | adj[v1 - 1])]
             while stack:
                 path, barred, closed = stack.pop()
-                if exceptional and not first_component(g, full & ~closed, True):
+                if exceptional and not first_component(g, full & ~closed, True)[0]:
                     continue
                 if barred is None:
                     yield path, closed

@@ -1,9 +1,10 @@
 """Serre's condition (R1) and normality for edge rings, by graph criteria.
 
 The edge ring of a connected nonbipartite graph satisfies (R1) exactly when
-every facet of the edge polytope passes facet_connectivity_holds: with
-(T, N) the facet's sides, V - (T | N) is empty or connected, where a regular
-vertex i is (empty set, {i}) and a fundamental set T is (T, N(T)).
+V - (T | N) is empty or connected at every facet (T, N) of the edge polytope,
+where a regular vertex i is (empty set, {i}) and a fundamental set T is
+(T, N(T)).  facet_connectivity_holds tests one facet; satisfies_r1 uses it at
+the regular vertices and reads each fundamental set's answer off the search.
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
@@ -22,7 +23,6 @@ of g - N[a].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .facets import (
     FacetDescriptor,
@@ -78,11 +78,14 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     if is_bipartite(g):
         return (True, [])
     violations: list[FacetDescriptor] = []
-    for f in chain(
-        map(RegularVertex, regular_vertices(g)), map(Fundamental, iter_fundamental_sets(g))
-    ):
+    for f in map(RegularVertex, regular_vertices(g)):
         if not facet_connectivity_holds(g, f):
             violations.append(f)
+            if early_exit:
+                return (False, violations)
+    for t, _, connected in iter_fundamental_sets(g):
+        if not connected:
+            violations.append(Fundamental(t))
             if early_exit:
                 break
     return (not violations, violations)

@@ -454,3 +454,26 @@ def test_report_from_dict_rejects_labels_outside_the_graph(field, v):
         payload["occ_violation"] = [[1, 2, 3], [2, 3, v]]
     with pytest.raises(ValueError, match="out of range|below 1"):
         report_from_dict(payload)
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("fundamental_set", [], id="empty-set"),
+    pytest.param("fundamental_set", [1, 1], id="repeated-set"),
+    pytest.param("occ_violation", [[1], []], id="occ-not-cycles"),
+    pytest.param("occ_violation", [[1, 2, 3]], id="occ-one-cycle"),
+    pytest.param("occ_violation", [[1, 2, 3], [1, 2, 3], [1, 2, 3]], id="occ-three-cycles"),
+    pytest.param("occ_violation", [[1, 2, 3], [1, 2, 3, 4]], id="occ-even-cycle"),
+    pytest.param("occ_violation", [[1, 2, 3], [1, 2, 1]], id="occ-repeated-vertex"),
+    pytest.param("occ_violation", [[1, 2, 3], [1, 2, 3]], id="occ-shared-vertex"),
+])
+def test_report_from_dict_rejects_shapes_no_classify_prints(field, value):
+    # every label lies in 1..d, so only the shape is wrong: a fundamental set
+    # is a nonempty set, and an odd cycle witness is two vertex-disjoint odd
+    # cycles of length at least 3 with distinct vertices
+    payload = report_to_dict("x", complete_graph(4), classify(complete_graph(4)))
+    if field == "fundamental_set":
+        payload["r1_violations"] = [{"kind": "fundamental_set", "set": value}]
+    else:
+        payload["occ_violation"] = value
+    with pytest.raises(ValueError, match="empty or repeats|not two vertex-disjoint odd cycles"):
+        report_from_dict(payload)

@@ -15,6 +15,7 @@ from edgering import (
     UnsupportedError,
     bridge_graph,
     complete_graph,
+    connected_within,
     cycle_graph,
     facet_forms,
     facets,
@@ -23,6 +24,7 @@ from edgering import (
     iter_fundamental_sets,
     labelled_graphs,
     members,
+    neighborhood,
     regular_vertices,
     support_form,
     vset,
@@ -71,8 +73,23 @@ def test_regular_vertices_match_brute_force(g):
 # ---------------------------------------------------------------------------
 # fundamental sets
 
+def fundamental_sets(g: Graph) -> list[int]:
+    return [t for t, _, _ in iter_fundamental_sets(g)]
+
+
+def carried_fundamental_sets(g: Graph) -> list[int]:
+    # the enumeration's sets, each checked against the N(T) and the rest
+    # connectivity that it carries, both recomputed by their own functions
+    out = []
+    for t, nb, connected in iter_fundamental_sets(g):
+        assert nb == neighborhood(g, t), (g, members(t))
+        assert connected == connected_within(g, g.full & ~(t | nb)), (g, members(t))
+        out.append(t)
+    return out
+
+
 def test_fundamental_sets_bridge2(bridge2):
-    got = [members(t) for t in iter_fundamental_sets(bridge2)]
+    got = [members(t) for t in fundamental_sets(bridge2)]
     assert got == [
         (1,), (1, 5, 7, 8), (1, 6, 7, 8),
         (2,), (2, 5, 7, 8), (2, 6, 7, 8),
@@ -81,16 +98,16 @@ def test_fundamental_sets_bridge2(bridge2):
 
 
 def test_fundamental_sets_small():
-    assert [members(t) for t in iter_fundamental_sets(complete_graph(3))] == [
+    assert [members(t) for t in fundamental_sets(complete_graph(3))] == [
         (1,), (2,), (3,),
     ]
-    assert [members(t) for t in iter_fundamental_sets(cycle_graph(5))] == [
+    assert [members(t) for t in fundamental_sets(cycle_graph(5))] == [
         (1, 3), (1, 4), (2, 4), (2, 5), (3, 5),
     ]
 
 
 def test_fundamental_enumeration_is_lexicographic(bridge2):
-    got = [members(t) for t in iter_fundamental_sets(bridge2)]
+    got = [members(t) for t in fundamental_sets(bridge2)]
     assert got == sorted(got)
 
 
@@ -98,7 +115,7 @@ def test_fundamental_sets_match_independent_set_scan_on_all_small_graphs():
     for d in range(1, 6):
         for g in labelled_graphs(d):
             if is_connected(g) and not is_bipartite(g):
-                assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g), g
+                assert fundamental_sets(g) == independent_set_scan_fundamental_sets(g), g
 
 
 # G(d, p) rows, plus sparse connected nonbipartite rows: their rests split
@@ -114,7 +131,7 @@ GNP_ROWS = [
 def test_fundamental_sets_match_independent_set_scan_on_random_graphs(d, p, draw):
     rng = random.Random(f"gnp-{d}-{p}")
     g = draw(rng, d, p)
-    assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g)
+    assert carried_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -124,7 +141,7 @@ def test_fundamental_sets_match_independent_set_scan_on_relabelled_bridges(k):
     d = 6 + k
     image = random.Random(f"bridge-{k}").sample(range(1, d + 1), d)
     g = Graph(d, tuple((image[i - 1], image[j - 1]) for i, j in bridge_graph(k).edges))
-    assert list(iter_fundamental_sets(g)) == independent_set_scan_fundamental_sets(g)
+    assert carried_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
 
 
 def esu_work(monkeypatch, g: Graph) -> tuple[int, int]:
@@ -187,7 +204,7 @@ def test_fundamental_enumeration_leaves_no_cyclic_garbage():
 @given(connected_nonbipartite_graphs(max_d=6))
 @settings(max_examples=30)
 def test_fundamental_sets_match_brute_force(g):
-    assert [members(t) for t in iter_fundamental_sets(g)] == brute_fundamental_sets(g)
+    assert [members(t) for t in fundamental_sets(g)] == brute_fundamental_sets(g)
 
 
 def test_fundamental_predicate_matches_brute_on_random_subsets():

@@ -362,7 +362,8 @@ def test_every_component_nonbipartite_matches_networkx(d):
     # the parity flood against its definition, on every vertex subset
     # including the empty one: for each flag it returns the lowest-labelled
     # whole component with that odd-cycle status, or 0 when there is none;
-    # so every component is nonbipartite exactly when the False flood gives 0
+    # so every component is nonbipartite exactly when the False flood gives 0.
+    # Beside it comes the lowest-labelled component, or 0 for the empty set
     rng = random.Random(f"parity-{d}")
     for p in (0.2, 0.35, 0.6):
         g = random_graph(rng, d, p)
@@ -371,9 +372,10 @@ def test_every_component_nonbipartite_matches_networkx(d):
             sub = h.subgraph(members(s))
             comps = sorted((vset(c) for c in nx.connected_components(sub)), key=lambda c: c & -c)
             odd = [not nx.is_bipartite(sub.subgraph(members(c))) for c in comps]
+            lowest = comps[0] if comps else 0
             for odd_cycle in (False, True):
                 want = next((c for c, o in zip(comps, odd) if o == odd_cycle), 0)
-                assert first_component(g, s, odd_cycle) == want, (g, s, odd_cycle)
+                assert first_component(g, s, odd_cycle) == (want, lowest), (g, s, odd_cycle)
 
 
 # ---------------------------------------------------------------------------

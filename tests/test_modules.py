@@ -63,6 +63,25 @@ def test_only_the_cli_branches_on_the_descriptor_kind():
     assert [name for name in found if name != "cli.py"] == []
 
 
+def test_the_oracle_reads_no_connectivity_result():
+    # the two (R1) routes stay independent: oracle.py imports nothing from
+    # serre.py and never names the fundamental-set search, whose items carry
+    # each set's connectivity flag, or the connectivity test itself
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").split(".")[-1])
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert "facet_forms" in names  # the scan sees the oracle's facet input
+    assert "serre" not in modules | names
+    assert {"iter_fundamental_sets", "connected_within"} & names == set()
+
+
 def _tracer_targets() -> set[tuple[str, str]]:
     # (file, name) of each module-level TARGETS entry of bench/tracer.py, whose
     # owners are the modules bound by name to edgering.<module>

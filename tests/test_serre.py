@@ -22,7 +22,9 @@ from edgering import (
     is_bipartite,
     is_connected,
     labelled_graphs,
+    oracle_r1,
     parse_graph6,
+    regular_vertices,
     satisfies_odd_cycle_condition,
     satisfies_r1,
     vset,
@@ -35,8 +37,11 @@ from helpers import (
     is_occ_witness,
     pair_loop_odd_cycle_condition,
     random_connected_nonbipartite,
+    random_graph,
     subset_scan_chordless_odd_cycles,
 )
+
+from conftest import DATA_DIR
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +221,57 @@ def test_r1_violations_are_the_records_failing_their_condition_on_corpus(corpus7
         assert satisfies_r1(g, early_exit=True)[1] == failing[:1]
         verdicts.add(not failing)
     assert verdicts == {True, False}
+
+
+def violation_graphs() -> list[Graph]:
+    # bridge_graph(1..10), the gnp golden graphs and the sparse d = 17..22 rows
+    # of test_facets.py, drawn from the same seeds: graphs with violations of
+    # both kinds among graphs with none
+    graphs = [bridge_graph(k) for k in range(1, 11)]
+    graphs += parse_graph6((DATA_DIR / "gnp_d18_20_22.g6").read_text())
+    for d in range(17, 23):
+        graphs.append(random_connected_nonbipartite(random.Random(f"gnp-{d}-0.15"), d, 0.15))
+    return graphs
+
+
+def test_r1_reads_the_search_flag_as_the_facet_test_and_the_oracle_do():
+    # satisfies_r1 decides a fundamental set from the flag the search carries;
+    # the facet test recomputes N(T) and floods the rest, and the oracle
+    # reads neither
+    kinds = set()
+    for g in violation_graphs():
+        failing = [f for f in facets(g) if not facet_connectivity_holds(g, f)]
+        assert satisfies_r1(g) == (not failing, failing) == oracle_r1(g), g
+        assert satisfies_r1(g, early_exit=True) == (not failing, failing[:1]), g
+        kinds |= {type(f) for f in failing}
+    assert kinds == {RegularVertex, Fundamental}
+
+
+def _count_serre_floods(monkeypatch) -> list[int]:
+    import edgering.serre
+
+    calls: list[int] = []
+    original = edgering.serre.connected_within
+
+    def counted(g, s):
+        calls.append(s)
+        return original(g, s)
+
+    monkeypatch.setattr(edgering.serre, "connected_within", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(bridge_graph(8), id="bridge-8"),
+    pytest.param(random_graph(random.Random("r1-work-18"), 18, 0.3), id="gnp-18-0.3"),
+])
+def test_r1_floods_only_at_regular_vertices(monkeypatch, g):
+    # the fundamental sets' test comes with them from the search, so the
+    # connectivity test runs once per regular vertex and at no other facet
+    assert is_connected(g) and not is_bipartite(g)
+    calls = _count_serre_floods(monkeypatch)
+    satisfies_r1(g)
+    assert len(calls) == len(regular_vertices(g)) > 0
 
 
 # ---------------------------------------------------------------------------
