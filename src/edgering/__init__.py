@@ -11,6 +11,7 @@ from .facets import (
     Fundamental,
     RegularVertex,
     SupportForm,
+    descriptor,
     facet_forms,
     facets,
     iter_fundamental_sets,

@@ -7,21 +7,19 @@ two kinds, which facets(g) alone lists, each named by a vertex or a vertex set:
   deleted contains an odd cycle;
 * an independent set T is fundamental when the bipartite subgraph spanned by
   the edges between T and its neighborhood N(T) is connected, and the rest
-  of the graph is empty or has an odd cycle in every component.  They are
-  enumerated in time that scales with the independent sets connected through
-  shared neighbours; a bipartite piece of the rest passes from a search node
-  to its children, so most nodes need no flood, and the flood that decides a
-  set also says whether its rest is connected.
+  of the graph is empty or has an odd cycle in every component.
 
-Each descriptor reads as a pair (T, N) through its sides(g) method: (T, N(T))
-for a fundamental set, and (empty set, {i}) for a regular vertex i.  Its
-supporting linear form is the sum over N minus the sum over T (the coordinate
-form x_i for a regular vertex), halved when T and N exhaust the vertices.
+Both walks yield (T, N, connected): (T, N(T)) for a fundamental set and
+(empty set, {i}) for a regular vertex i, with whether V - (T | N) is empty
+or connected, read off the flood that found the facet.  descriptor(t, nb)
+names a pair and sides(g) gives it back.  The supporting form is the sum
+over N minus the sum over T, halved when T and N exhaust the vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Union
 
 from .graph import (
@@ -42,6 +40,8 @@ class RegularVertex:
 
     def sides(self, g: Graph) -> tuple[VertexSet, VertexSet]:
         """(T, N): where the facet's form is -1 and +1; the empty set and {vertex}."""
+        if not 1 <= self.vertex <= g.d:
+            raise ValueError(f"vertex {self.vertex} out of range 1..{g.d}")
         return 0, 1 << (self.vertex - 1)
 
 
@@ -64,6 +64,11 @@ class Fundamental:
 FacetDescriptor = Union[RegularVertex, Fundamental]
 
 
+def descriptor(t: VertexSet, nb: VertexSet) -> FacetDescriptor:
+    """Fundamental(T) for a walk's pair (T, N), or RegularVertex(i) when T is empty and N = {i}."""
+    return Fundamental(t) if t else RegularVertex(nb.bit_length())
+
+
 @dataclass(frozen=True)
 class SupportForm:
     """Integer linear form with denominator 1 or 2: the form is coeffs / denom."""
@@ -81,10 +86,18 @@ class SupportForm:
 # ---------------------------------------------------------------------------
 # regular vertices
 
-def regular_vertices(g: Graph) -> list[int]:
-    """The vertices v such that every component of g - v contains an odd cycle."""
+def regular_vertices(g: Graph) -> list[tuple[VertexSet, VertexSet, bool]]:
+    """(empty set, {v}, connected) for each regular vertex v, by label: every
+    component of g - v contains an odd cycle; connected: g - v is connected."""
+    # a list, not a generator, as bench/tracer.py times it with a plain span
     full = g.full
-    return [v for v in range(1, g.d + 1) if not first_component(g, full ^ (1 << (v - 1)), False)[0]]
+    out = []
+    for i in range(g.d):
+        rest = full ^ (1 << i)
+        bad, lowest = first_component(g, rest, False)
+        if not bad:
+            out.append((0, 1 << i, lowest == rest))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +146,9 @@ def iter_fundamental_sets(g: Graph) -> Iterator[tuple[VertexSet, VertexSet, bool
 # ---------------------------------------------------------------------------
 # supporting forms and the facet list
 
-def _form_for(g: Graph, f: FacetDescriptor) -> SupportForm:
-    # no validation; callers pass descriptors already known to be facets
-    t, nb = f.sides(g)
-    coeffs = tuple([(nb >> i & 1) - (t >> i & 1) for i in range(g.d)])
-    return SupportForm(coeffs, 2 if (t | nb) == g.full else 1)
-
-
-def support_form(g: Graph, f: FacetDescriptor) -> SupportForm:
-    """Supporting form of a facet descriptor; raises ValueError unless f is in facets(g)."""
-    if f not in facets(g):
-        raise ValueError(f"{f!r} is not a facet of this graph")
-    return _form_for(g, f)
-
-
-def facets(g: Graph) -> list[FacetDescriptor]:
-    """All facet descriptors of the edge polytope: the regular vertices by
-    label, then the fundamental sets in lexicographic order.
+def facet_forms(g: Graph) -> list[tuple[FacetDescriptor, SupportForm]]:
+    """Every facet descriptor with its supporting form: the regular vertices
+    by label, then the fundamental sets in lexicographic order.
 
     Requires a connected nonbipartite graph; the facet description below
     two dimensions degenerates otherwise.
@@ -157,11 +156,21 @@ def facets(g: Graph) -> list[FacetDescriptor]:
     require_connected(g)
     if is_bipartite(g):
         raise UnsupportedError("graph is bipartite; facet data needs an odd cycle")
-    out: list[FacetDescriptor] = [RegularVertex(v) for v in regular_vertices(g)]
-    out += [Fundamental(t) for t, _, _ in iter_fundamental_sets(g)]
+    out = []
+    for t, nb, _ in chain(regular_vertices(g), iter_fundamental_sets(g)):
+        coeffs = tuple([(nb >> i & 1) - (t >> i & 1) for i in range(g.d)])
+        out.append((descriptor(t, nb), SupportForm(coeffs, 2 if (t | nb) == g.full else 1)))
     return out
 
 
-def facet_forms(g: Graph) -> list[tuple[FacetDescriptor, SupportForm]]:
-    """Every facet descriptor with its supporting form, in facets() order."""
-    return [(f, _form_for(g, f)) for f in facets(g)]
+def facets(g: Graph) -> list[FacetDescriptor]:
+    """All facet descriptors of the edge polytope, in facet_forms() order."""
+    return [f for f, _ in facet_forms(g)]
+
+
+def support_form(g: Graph, f: FacetDescriptor) -> SupportForm:
+    """Supporting form of a facet descriptor; raises ValueError unless f is in facets(g)."""
+    forms = dict(facet_forms(g))
+    if f not in forms:
+        raise ValueError(f"{f!r} is not a facet of this graph")
+    return forms[f]

@@ -3,8 +3,9 @@
 The edge ring of a connected nonbipartite graph satisfies (R1) exactly when
 V - (T | N) is empty or connected at every facet (T, N) of the edge polytope,
 where a regular vertex i is (empty set, {i}) and a fundamental set T is
-(T, N(T)).  facet_connectivity_holds tests one facet; satisfies_r1 uses it at
-the regular vertices and reads each fundamental set's answer off the search.
+(T, N(T)).  Both facet walks yield (T, N, connected), decided by the flood
+that found the facet, and satisfies_r1 reads that flag at every facet;
+facet_connectivity_holds tests one named facet on its own.
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
@@ -23,14 +24,9 @@ of g - N[a].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .facets import (
-    FacetDescriptor,
-    Fundamental,
-    RegularVertex,
-    iter_fundamental_sets,
-    regular_vertices,
-)
+from .facets import FacetDescriptor, descriptor, iter_fundamental_sets, regular_vertices
 from .graph import (
     Cycle,
     DisagreementError,
@@ -61,8 +57,7 @@ def satisfies_odd_cycle_condition(g: Graph) -> tuple[Cycle, Cycle] | None:
 def facet_connectivity_holds(g: Graph, f: FacetDescriptor) -> bool:
     """The (R1) test at one facet: with (T, N) = f.sides(g), V - (T | N) is empty or connected."""
     t, nb = f.sides(g)
-    rest = g.full & ~(t | nb)
-    return not rest or connected_within(g, rest)
+    return connected_within(g, g.full & ~(t | nb))
 
 
 def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[FacetDescriptor]]:
@@ -78,14 +73,9 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     if is_bipartite(g):
         return (True, [])
     violations: list[FacetDescriptor] = []
-    for f in map(RegularVertex, regular_vertices(g)):
-        if not facet_connectivity_holds(g, f):
-            violations.append(f)
-            if early_exit:
-                return (False, violations)
-    for t, _, connected in iter_fundamental_sets(g):
+    for t, nb, connected in chain(regular_vertices(g), iter_fundamental_sets(g)):
         if not connected:
-            violations.append(Fundamental(t))
+            violations.append(descriptor(t, nb))
             if early_exit:
                 break
     return (not violations, violations)

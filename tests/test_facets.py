@@ -1,4 +1,5 @@
 import gc
+import importlib
 import inspect
 import random
 import sys
@@ -17,6 +18,7 @@ from edgering import (
     complete_graph,
     connected_within,
     cycle_graph,
+    descriptor,
     facet_forms,
     facets,
     is_bipartite,
@@ -45,21 +47,31 @@ from helpers import (
 # ---------------------------------------------------------------------------
 # regular vertices
 
+def regular_labels(g: Graph) -> list[int]:
+    # each item is (empty set, {v}, connected); the label v of each
+    out = []
+    for t, nb, _ in regular_vertices(g):
+        assert t == 0 and len(members(nb)) == 1, (g, t, nb)
+        out += members(nb)
+    return out
+
+
 def test_regular_vertices_bridge2(bridge2):
-    assert regular_vertices(bridge2) == [1, 2, 5, 6, 7, 8]
+    assert regular_labels(bridge2) == [1, 2, 5, 6, 7, 8]
 
 
 def test_regular_vertices_small():
-    assert regular_vertices(complete_graph(3)) == []
-    assert regular_vertices(cycle_graph(5)) == []
-    assert regular_vertices(complete_graph(4)) == [1, 2, 3, 4]
+    assert regular_labels(complete_graph(3)) == []
+    assert regular_labels(cycle_graph(5)) == []
+    assert regular_labels(complete_graph(4)) == [1, 2, 3, 4]
+    assert regular_vertices(complete_graph(4)) == [(0, 1 << i, True) for i in range(4)]
 
 
 def test_bridge1_vertex7_regular_but_not_fundamental(bridge1):
     # deleting 7 leaves the two triangles, so 7 is regular; but {7} spans a
     # bipartite piece whose leftover components are single edges, so it is
     # not fundamental
-    assert 7 in regular_vertices(bridge1)
+    assert 7 in regular_labels(bridge1)
     with pytest.raises(ValueError, match="not a facet"):
         support_form(bridge1, Fundamental(vset([7])))
 
@@ -67,7 +79,41 @@ def test_bridge1_vertex7_regular_but_not_fundamental(bridge1):
 @given(connected_nonbipartite_graphs())
 @settings(max_examples=40)
 def test_regular_vertices_match_brute_force(g):
-    assert regular_vertices(g) == [v for v in range(1, g.d + 1) if brute_regular_vertex(g, v)]
+    assert regular_labels(g) == [v for v in range(1, g.d + 1) if brute_regular_vertex(g, v)]
+
+
+def regular_vertex_flag_graphs():
+    # the 553 connected nonbipartite labelled graphs with d <= 5 and seeded
+    # G(d, p) draws for d = 8..16.  None of them has a regular cut vertex, so
+    # bridge_graph(1) adds one: deleting its vertex 7 leaves two triangles
+    for d in range(1, 6):
+        for g in labelled_graphs(d):
+            if is_connected(g) and not is_bipartite(g):
+                yield g
+    for d in range(8, 17):
+        for p in (0.2, 0.35):
+            yield random_connected_nonbipartite(random.Random(f"regular-{d}-{p}"), d, p)
+    yield bridge_graph(1)
+
+
+def test_regular_vertex_flags_match_connected_within():
+    # the flag comes from the flood that found v regular; connected_within
+    # floods g - v again on its own
+    flags = set()
+    for g in regular_vertex_flag_graphs():
+        for t, nb, connected in regular_vertices(g):
+            assert connected == connected_within(g, g.full ^ nb), (g, members(nb))
+            flags.add(connected)
+    assert flags == {True, False}
+
+
+def test_descriptor_names_the_walks_pairs(bridge2):
+    assert descriptor(0, vset([7])) == RegularVertex(7)
+    assert descriptor(vset([3, 4]), vset([2, 5])) == Fundamental(vset([3, 4]))
+    pairs = [(t, nb) for t, nb, _ in regular_vertices(bridge2)]
+    pairs += [(t, nb) for t, nb, _ in iter_fundamental_sets(bridge2)]
+    assert [descriptor(t, nb) for t, nb in pairs] == facets(bridge2)
+    assert [descriptor(t, nb).sides(bridge2) for t, nb in pairs] == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +233,13 @@ def test_fundamental_enumeration_is_a_generator_function():
     # bench/tracer.py lists it in GENERATORS and times each resumption; an
     # eager function would move its time into the caller's span
     assert inspect.isgeneratorfunction(iter_fundamental_sets)
+
+
+def test_regular_vertices_return_a_list(bridge2):
+    # bench/tracer.py times regular_vertices with a plain span, which covers
+    # a generator's creation but none of its work
+    assert not inspect.isgeneratorfunction(regular_vertices)
+    assert isinstance(regular_vertices(bridge2), list)
 
 
 def test_fundamental_enumeration_leaves_no_cyclic_garbage():
@@ -357,3 +410,25 @@ def test_facet_forms_pair_facets_with_validated_forms(g):
 def test_facet_forms_rejects_like_facets():
     with pytest.raises(ValueError, match="bipartite"):
         facet_forms(cycle_graph(4))
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(bridge_graph(6), id="bridge-6"),
+    pytest.param(cycle_graph(7), id="cycle-7"),
+    pytest.param(random_connected_nonbipartite(random.Random("forms-14"), 14, 0.3), id="gnp-14"),
+])
+def test_facet_forms_take_n_of_t_from_the_walk(monkeypatch, g):
+    # facets.py computes neighborhoods once per vertex, for the search's
+    # shared-neighbour table; each form reads its N off the walk's pair
+    module = importlib.import_module("edgering.facets")  # the package re-exports facets()
+    calls: list[int] = []
+    original = module.neighborhood
+
+    def counted(g, t):
+        calls.append(t)
+        return original(g, t)
+
+    monkeypatch.setattr(module, "neighborhood", counted)
+    forms = facet_forms(g)
+    assert len(calls) == g.d
+    assert any(isinstance(f, Fundamental) for f, _ in forms)

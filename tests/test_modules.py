@@ -1,4 +1,7 @@
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import edgering
@@ -165,3 +168,29 @@ def test_readme_library_example_runs_as_documented():
     assert report.normal is False and report.r1 is True
     assert report.occ_violation == ((1, 2, 3), (4, 5, 6))
     assert (checks[0].unit, checks[0].match) == (True, True)
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # hypothesis imports libcst to report a failure, and libcst's import warns
+    # that mypy_extensions.TypedDict is deprecated; with every warning an error
+    # that ended the whole session in INTERNALERROR, so no later test ran
+    (tmp_path / "pyproject.toml").write_text((TESTS_DIR.parent / "pyproject.toml").read_text())
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+
+        def test_passes():
+            pass
+    """))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out

@@ -25,6 +25,7 @@ from edgering import (
     cycle_graph,
     edge_vector,
     facet_conditions,
+    facet_connectivity_holds,
     facets,
     failing_facets,
     monoid_group,
@@ -237,6 +238,24 @@ def test_verify_facet_rank_all_facets(bridge2):
     for g in (complete_graph(3), cycle_graph(5), bridge2):
         for c in facet_conditions(g):
             assert verify_facet_rank(g, c)
+
+
+@pytest.mark.parametrize("f, message", [
+    pytest.param(RegularVertex(0), "vertex 0 out of range 1..4", id="vertex-0"),
+    pytest.param(RegularVertex(-2), "vertex -2 out of range 1..4", id="vertex-minus-2"),
+    pytest.param(RegularVertex(5), "vertex 5 out of range 1..4", id="vertex-d-plus-1"),
+    pytest.param(Fundamental(1 << 5), r"vertex set \[6\] out of range 1..4", id="set-6"),
+])
+def test_facet_tests_reject_vertices_off_the_graph(f, message):
+    # a vertex past d once read as an empty side, and one below 1 as a
+    # negative shift; the connectivity test and the oracle's identity both
+    # read the sides, so both name the vertex and the range 1..d
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match=message):
+        facet_connectivity_holds(g, f)
+    check = dataclasses.replace(check_for(g, RegularVertex(1)), facet=f)
+    with pytest.raises(ValueError, match=message):
+        verify_decomposition(g, check)
 
 
 def test_verify_decomposition(bridge2):

@@ -262,16 +262,19 @@ def _count_serre_floods(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("g", [
+    pytest.param(bridge_graph(1), id="bridge-1"),
     pytest.param(bridge_graph(8), id="bridge-8"),
     pytest.param(random_graph(random.Random("r1-work-18"), 18, 0.3), id="gnp-18-0.3"),
 ])
-def test_r1_floods_only_at_regular_vertices(monkeypatch, g):
-    # the fundamental sets' test comes with them from the search, so the
-    # connectivity test runs once per regular vertex and at no other facet
-    assert is_connected(g) and not is_bipartite(g)
+def test_r1_runs_no_flood_of_its_own(monkeypatch, g):
+    # both walks yield each facet with the flag of the flood that found it,
+    # so the criterion never runs the connectivity test again, at a regular
+    # vertex or a fundamental set, whether or not (R1) fails
+    assert is_connected(g) and not is_bipartite(g) and regular_vertices(g)
     calls = _count_serre_floods(monkeypatch)
     satisfies_r1(g)
-    assert len(calls) == len(regular_vertices(g)) > 0
+    satisfies_r1(g, early_exit=True)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from edgering import (
     IntegerLattice,
     SupportForm,
     bridge_graph,
+    connected_within,
     cross_check,
     is_bipartite,
     is_connected,
@@ -280,7 +281,9 @@ FAULT_TABLE = [
         id="forms-never-halved",
     ),
     pytest.param(
-        lambda mp: mp.setattr(FACETS, "regular_vertices", lambda g: list(range(1, g.d + 1))),
+        lambda mp: mp.setattr(FACETS, "regular_vertices", lambda g: [
+            (0, 1 << i, connected_within(g, g.full ^ 1 << i)) for i in range(g.d)
+        ]),
         CONNECTIVITY_TAGS | {"occ-implies-r1", "facet-support", "decomposition"},
         id="every-vertex-regular",
     ),
