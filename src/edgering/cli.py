@@ -212,7 +212,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         checks = facet_conditions(g)
         monoid_group(g)  # certifies the group that condition 2 reads in closed form
         oracle_violations = failing_facets(checks)
-        violations = [c.facet for c in checks if not facet_connectivity_holds(g, c.facet)]
+        violations = [c.facet for c in checks if not facet_connectivity_holds(g, *c.sides)]
         agree = violations == oracle_violations
         if args.json:
             print(json.dumps({

@@ -12,8 +12,9 @@ two kinds, which facets(g) alone lists, each named by a vertex or a vertex set:
 Both walks yield (T, N, connected): (T, N(T)) for a fundamental set and
 (empty set, {i}) for a regular vertex i, with whether V - (T | N) is empty
 or connected, read off the flood that found the facet.  descriptor(t, nb)
-names a pair and sides(g) gives it back.  The supporting form is the sum
-over N minus the sum over T, halved when T and N exhaust the vertices.
+names a pair by T, or by i when T is empty, and keeps no N: the oracle's
+records carry the pair as their sides.  The supporting form is the sum over
+N minus the sum over T, halved when T and N exhaust the vertices.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ from .graph import (
 class RegularVertex:
     vertex: int
 
-    def sides(self, g: Graph) -> tuple[VertexSet, VertexSet]:
-        """(T, N): where the facet's form is -1 and +1; the empty set and {vertex}."""
-        if not 1 <= self.vertex <= g.d:
-            raise ValueError(f"vertex {self.vertex} out of range 1..{g.d}")
-        return 0, 1 << (self.vertex - 1)
-
 
 @dataclass(frozen=True)
 class Fundamental:
@@ -52,10 +47,6 @@ class Fundamental:
     @property
     def vertices(self) -> tuple[int, ...]:
         return members(self.mask)
-
-    def sides(self, g: Graph) -> tuple[VertexSet, VertexSet]:
-        """(T, N): where the facet's form is -1 and +1; the set and its neighborhood."""
-        return self.mask, neighborhood(g, self.mask)
 
     def __repr__(self) -> str:
         return "Fundamental({%s})" % ", ".join(str(v) for v in self.vertices)

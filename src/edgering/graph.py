@@ -272,8 +272,10 @@ def serialize_graph6(g: Graph) -> str:
 # connectivity and odd cycles
 
 def _checked_set(g: Graph, s: VertexSet) -> VertexSet:
-    if s >> g.d:  # a bit past vertex d; members() raises its own error for a negative s
-        raise ValueError(f"vertex set {list(members(s))} out of range 1..{g.d}")
+    if s < 0:  # every bit past vertex d is set
+        raise ValueError(f"negative vertex set {s} out of range 1..{g.d}")
+    if s >> g.d:  # a bit past vertex d; the message names those vertices alone
+        raise ValueError(f"vertex set {list(members(s >> g.d << g.d))} out of range 1..{g.d}")
     return s
 
 

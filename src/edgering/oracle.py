@@ -48,6 +48,7 @@ from .graph import (
     DisagreementError,
     Graph,
     UnsupportedError,
+    VertexSet,
     connected_components,
     edge_vector,
     is_bipartite,
@@ -104,12 +105,14 @@ def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
 class FacetCheck:
     """The oracle's data on one facet.
 
-    values holds denom * form on each edge vector, in edge order; zero is
-    the lattice generated by the zero-valued edge vectors; unit and match
-    are conditions 1 and 2.  Records compare by identity.
+    sides is (T, N), where the form is -1 and +1: (T, N(T)) or (empty set, {i});
+    values holds denom * form on each edge vector, in edge order; zero is the
+    lattice generated by the zero-valued edge vectors; unit and match are
+    conditions 1 and 2.  Records compare by identity.
     """
 
     facet: FacetDescriptor
+    sides: tuple[VertexSet, VertexSet]
     values: tuple[int, ...]
     zero: IntegerLattice
     unit: bool
@@ -127,14 +130,15 @@ def facet_conditions(g: Graph) -> list[FacetCheck]:
     out = []
     for f, form in facet_forms(g):
         c = form.coeffs
+        t = sum(1 << i for i, x in enumerate(c) if x < 0)
+        nb = sum(1 << i for i, x in enumerate(c) if x > 0)
         values = _edge_numerators(g, form)
         zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
-        # the coefficients are +-1 on P: solve form = 0 at P's last column, and
-        # the sum is even on the rest, a condition exactly when R is nonempty
-        last = max(i for i, x in enumerate(c) if x)
-        match = zero.pivots == _all_columns_but(g.d, last)
-        match = match and zero.pivot_product() == (2 if 0 in c else 1)
-        out.append(FacetCheck(f, values, zero, form.denom in values, match))
+        # the coefficients are +-1 on P = T | N: solve form = 0 at P's last column,
+        # and the sum is even on the rest, a condition exactly when R is nonempty
+        match = zero.pivots == _all_columns_but(g.d, (t | nb).bit_length() - 1)
+        match = match and zero.pivot_product() == (2 if (t | nb) != g.full else 1)
+        out.append(FacetCheck(f, (t, nb), values, zero, form.denom in values, match))
     return out
 
 
@@ -165,7 +169,7 @@ def verify_facet_rank(g: Graph, check: FacetCheck) -> bool:
 
 
 def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
-    """Structural identity behind condition 2 at a facet with sides (T, N).
+    """Structural identity behind condition 2 at the record's sides (T, N).
 
     The record's zero lattice must equal D, with P = T | N:
     D = {x on P : sum_T x = sum_N x} (+) the even-sum lattice of each rest component;
@@ -178,15 +182,16 @@ def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     are (empty set, {i}) and D is the even-sum lattice of each component of
     G - i, so the identity holds exactly when i is regular.
     """
-    t, nb = check.facet.sides(g)
+    t, nb = check.sides
+    part = t | nb
+    # the XOR keeps any side vertex outside 1..d, so the range check sees it
+    rest = connected_components(g, g.full ^ part)
     if t & nb:
         return False  # not independent, so not a fundamental set
     for (a, b), v in zip(g.edges, check.values):
         ends = 1 << (a - 1) | 1 << (b - 1)
         if v == 0 and bool(ends & t) != bool(ends & nb):
             return False  # an edge within N or from N to the rest: not in D
-    part = t | nb
-    rest = connected_components(g, g.full & ~part)
     return (
         check.zero.pivots == _all_columns_but(g.d, part.bit_length() - 1)
         and check.zero.pivot_product() == 1 << len(rest)

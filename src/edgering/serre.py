@@ -5,7 +5,7 @@ V - (T | N) is empty or connected at every facet (T, N) of the edge polytope,
 where a regular vertex i is (empty set, {i}) and a fundamental set T is
 (T, N(T)).  Both facet walks yield (T, N, connected), decided by the flood
 that found the facet, and satisfies_r1 reads that flag at every facet;
-facet_connectivity_holds tests one named facet on its own.
+facet_connectivity_holds tests one facet on its own, given its sides (T, N).
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
@@ -31,6 +31,7 @@ from .graph import (
     Cycle,
     DisagreementError,
     Graph,
+    VertexSet,
     connected_within,
     is_bipartite,
     iter_chordless_odd_cycles,
@@ -54,10 +55,10 @@ def satisfies_odd_cycle_condition(g: Graph) -> tuple[Cycle, Cycle] | None:
     return None
 
 
-def facet_connectivity_holds(g: Graph, f: FacetDescriptor) -> bool:
-    """The (R1) test at one facet: with (T, N) = f.sides(g), V - (T | N) is empty or connected."""
-    t, nb = f.sides(g)
-    return connected_within(g, g.full & ~(t | nb))
+def facet_connectivity_holds(g: Graph, t: VertexSet, nb: VertexSet) -> bool:
+    """The (R1) test at a facet with sides (T, N): V - (T | N) is empty or connected."""
+    # the XOR keeps any side vertex outside 1..d, so the range check sees it
+    return connected_within(g, g.full ^ (t | nb))
 
 
 def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[FacetDescriptor]]:

@@ -63,7 +63,7 @@ def cross_check(g: Graph) -> CrossCheck:
         certified = False
         fails.append("monoid-group")
     checks = facet_conditions(g)
-    holds = [facet_connectivity_holds(g, c.facet) for c in checks]
+    holds = [facet_connectivity_holds(g, *c.sides) for c in checks]
     t_viols = [c.facet for c, ok in zip(checks, holds) if not ok]
     records = checks if certified else []
     o_viols = failing_facets(records)

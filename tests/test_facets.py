@@ -19,6 +19,7 @@ from edgering import (
     connected_within,
     cycle_graph,
     descriptor,
+    facet_conditions,
     facet_forms,
     facets,
     is_bipartite,
@@ -113,7 +114,23 @@ def test_descriptor_names_the_walks_pairs(bridge2):
     pairs = [(t, nb) for t, nb, _ in regular_vertices(bridge2)]
     pairs += [(t, nb) for t, nb, _ in iter_fundamental_sets(bridge2)]
     assert [descriptor(t, nb) for t, nb in pairs] == facets(bridge2)
-    assert [descriptor(t, nb).sides(bridge2) for t, nb in pairs] == pairs
+    assert [c.sides for c in facet_conditions(bridge2)] == pairs
+
+
+def test_records_carry_their_facets_sides():
+    # the oracle's records read (T, N) off the form's signs; a fundamental set
+    # T has sides (T, N(T)) and a regular vertex i has (empty set, {i}), and
+    # the sides name the record's facet again
+    kinds = set()
+    for g in regular_vertex_flag_graphs():
+        for c in facet_conditions(g):
+            if isinstance(c.facet, Fundamental):
+                assert c.sides == (c.facet.mask, neighborhood(g, c.facet.mask)), (g, c.facet)
+            else:
+                assert c.sides == (0, vset([c.facet.vertex])), (g, c.facet)
+            assert descriptor(*c.sides) == c.facet
+            kinds.add(type(c.facet))
+    assert kinds == {RegularVertex, Fundamental}
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +418,10 @@ def test_facet_forms_pair_facets_with_validated_forms(g):
     pairs = facet_forms(g)
     assert [f for f, _ in pairs] == facets(g)
     assert all(form == support_form(g, f) for f, form in pairs)
-    # sides(g) is (T, N): the vertices where the form is -1 and where it is +1
-    for f, form in pairs:
+    # each record's sides are (T, N): the vertices where its form is -1 and +1
+    for check, (f, form) in zip(facet_conditions(g), pairs, strict=True):
         by_sign = [vset(i for i, c in enumerate(form.coeffs, 1) if c == s) for s in (-1, 1)]
-        assert f.sides(g) == tuple(by_sign)
+        assert (check.facet, check.sides) == (f, tuple(by_sign))
 
 
 def test_facet_forms_rejects_like_facets():

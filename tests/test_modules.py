@@ -51,8 +51,9 @@ def test_no_except_clause_catches_broad_errors():
 
 
 def test_only_the_cli_branches_on_the_descriptor_kind():
-    # facets(g) alone says what a facet is, and every check reads a facet
-    # through its sides (T, N); only the CLI's renderers tell the kinds apart
+    # facets(g) alone says what a facet is, and every check reads a facet's
+    # sides (T, N) off its walk item or its FacetCheck record; only the CLI's
+    # renderers tell the kinds apart
     kinds = {"RegularVertex", "Fundamental"}
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
@@ -64,6 +65,24 @@ def test_only_the_cli_branches_on_the_descriptor_kind():
                     found.append(path.name)
     assert "cli.py" in found  # the scan sees the renderers' branches
     assert [name for name in found if name != "cli.py"] == []
+
+
+def test_only_the_fundamental_set_search_computes_neighborhoods():
+    # a facet's sides (T, N) travel with its walk item and its record, so no
+    # function recomputes N(T); the search names neighborhood once, for its
+    # shared-neighbour table
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if "neighborhood" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                scopes.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert scopes == ["facets.iter_fundamental_sets"]
 
 
 def test_the_oracle_reads_no_connectivity_result():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from edgering import (
     complete_graph,
     cross_check,
     cycle_graph,
+    descriptor,
     edge_vector,
     facet_conditions,
     facet_connectivity_holds,
@@ -240,22 +242,22 @@ def test_verify_facet_rank_all_facets(bridge2):
             assert verify_facet_rank(g, c)
 
 
-@pytest.mark.parametrize("f, message", [
-    pytest.param(RegularVertex(0), "vertex 0 out of range 1..4", id="vertex-0"),
-    pytest.param(RegularVertex(-2), "vertex -2 out of range 1..4", id="vertex-minus-2"),
-    pytest.param(RegularVertex(5), "vertex 5 out of range 1..4", id="vertex-d-plus-1"),
-    pytest.param(Fundamental(1 << 5), r"vertex set \[6\] out of range 1..4", id="set-6"),
+@pytest.mark.parametrize("mask, message", [
+    pytest.param(-2, r"negative vertex set -\d+ out of range 1\.\.4", id="negative-mask"),
+    pytest.param(1 << 4, re.escape("vertex set [5] out of range 1..4"), id="vertex-d-plus-1"),
+    pytest.param(1 << 5, re.escape("vertex set [6] out of range 1..4"), id="set-6"),
 ])
-def test_facet_tests_reject_vertices_off_the_graph(f, message):
-    # a vertex past d once read as an empty side, and one below 1 as a
-    # negative shift; the connectivity test and the oracle's identity both
-    # read the sides, so both name the vertex and the range 1..d
+def test_facet_tests_reject_vertices_off_the_graph(mask, message):
+    # V - (T | N) would drop a side vertex outside 1..d silently; the
+    # connectivity test and the oracle's identity both put the sides through
+    # the range check, as T or as N, and name the range 1..d
     g = complete_graph(4)
-    with pytest.raises(ValueError, match=message):
-        facet_connectivity_holds(g, f)
-    check = dataclasses.replace(check_for(g, RegularVertex(1)), facet=f)
-    with pytest.raises(ValueError, match=message):
-        verify_decomposition(g, check)
+    check = check_for(g, RegularVertex(1))
+    for sides in ((mask, 0), (0, mask)):
+        with pytest.raises(ValueError, match=message):
+            facet_connectivity_holds(g, *sides)
+        with pytest.raises(ValueError, match=message):
+            verify_decomposition(g, dataclasses.replace(check, sides=sides))
 
 
 def test_verify_decomposition(bridge2):
@@ -281,15 +283,14 @@ def test_verify_checks_reject_wrong_records(bridge1):
     assert not verify_facet_rank(bridge1, dataclasses.replace(check, zero=IntegerLattice(7, [])))
 
 
-def _unchecked_record(g, f):
-    # the record f's sides (T, N) would give, whether or not f is a facet: -1
-    # on T, +1 on the rest of N, and the lattice of the zero-valued edge vectors
-    t, nb = f.sides(g)
+def _unchecked_record(g, t, nb):
+    # the record of sides (T, N), whether or not they are a facet's: -1 on T,
+    # +1 on the rest of N, and the lattice of the zero-valued edge vectors
     coeffs = [-1 if t >> v & 1 else nb >> v & 1 for v in range(g.d)]
     values = tuple(coeffs[i - 1] + coeffs[j - 1] for i, j in g.edges)
     vectors = [edge_vector(e, g.d) for e in g.edges]
     zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
-    return FacetCheck(f, values, zero, 1 in values, False)
+    return FacetCheck(descriptor(t, nb), (t, nb), values, zero, 1 in values, False)
 
 
 def _small_graphs():
@@ -306,7 +307,7 @@ def _vertex_set_records():
     # rest components and non-independent masks, which no facet record does
     for g in _small_graphs():
         for t in range(1, 1 << g.d):
-            yield g, t, _unchecked_record(g, Fundamental(t))
+            yield g, t, _unchecked_record(g, t, neighborhood(g, t))
 
 
 def test_verify_decomposition_holds_exactly_at_fundamental_sets():
@@ -324,7 +325,7 @@ def test_verify_decomposition_holds_exactly_at_regular_vertices():
     vertices_seen = 0
     for g in _small_graphs():
         for v in range(1, g.d + 1):
-            check = _unchecked_record(g, RegularVertex(v))
+            check = _unchecked_record(g, 0, vset([v]))
             assert verify_decomposition(g, check) == brute_regular_vertex(g, v), (g, v)
             vertices_seen += 1
     assert vertices_seen == 2744
@@ -334,7 +335,7 @@ def test_verify_decomposition_equals_generator_reference():
     # the closed-form pivot data and edge containment against the lattice
     # equality they replace: the zero lattice against D built from generators
     for g, t, check in _vertex_set_records():
-        independent = not t & neighborhood(g, t)
+        independent = not t & check.sides[1]
         expected = independent and (
             canonical_basis(check.zero) == EagerLattice(g.d, decomposition_generators(g, t)).basis
         )

@@ -22,6 +22,7 @@ from edgering import (
     is_bipartite,
     is_connected,
     labelled_graphs,
+    neighborhood,
     oracle_r1,
     parse_graph6,
     regular_vertices,
@@ -197,15 +198,22 @@ def test_r1_early_exit_agrees_on_verdict(g):
 
 
 def test_facet_connectivity_holds(bridge2, bridge1):
-    assert facet_connectivity_holds(bridge2, RegularVertex(7))
-    assert not facet_connectivity_holds(bridge1, RegularVertex(7))
-    assert facet_connectivity_holds(bridge2, Fundamental(vset([3, 4])))
+    assert facet_connectivity_holds(bridge2, 0, vset([7]))
+    assert not facet_connectivity_holds(bridge1, 0, vset([7]))
+    t = vset([3, 4])
+    assert facet_connectivity_holds(bridge2, t, neighborhood(bridge2, t))
+
+
+def failing_records(g: Graph) -> list:
+    # the facets whose record's sides (T, N) fail the connectivity test, which
+    # floods V - (T | N) on its own
+    return [c.facet for c in facet_conditions(g) if not facet_connectivity_holds(g, *c.sides)]
 
 
 @given(connected_nonbipartite_graphs(max_d=6))
 @settings(max_examples=30, deadline=None)
 def test_r1_violations_are_the_facets_failing_their_condition(g):
-    failing = [f for f in facets(g) if not facet_connectivity_holds(g, f)]
+    failing = failing_records(g)
     assert satisfies_r1(g) == (not failing, failing)
     assert satisfies_r1(g, early_exit=True)[1] == failing[:1]
 
@@ -216,7 +224,7 @@ def test_r1_violations_are_the_records_failing_their_condition_on_corpus(corpus7
     # verdicts occur, the two agree
     verdicts = set()
     for g in parse_graph6(corpus7_path.read_text()):
-        failing = [c.facet for c in facet_conditions(g) if not facet_connectivity_holds(g, c.facet)]
+        failing = failing_records(g)
         assert satisfies_r1(g) == (not failing, failing)
         assert satisfies_r1(g, early_exit=True)[1] == failing[:1]
         verdicts.add(not failing)
@@ -236,11 +244,11 @@ def violation_graphs() -> list[Graph]:
 
 def test_r1_reads_the_search_flag_as_the_facet_test_and_the_oracle_do():
     # satisfies_r1 decides a fundamental set from the flag the search carries;
-    # the facet test recomputes N(T) and floods the rest, and the oracle
+    # the facet test floods the rest at each record's sides, and the oracle
     # reads neither
     kinds = set()
     for g in violation_graphs():
-        failing = [f for f in facets(g) if not facet_connectivity_holds(g, f)]
+        failing = failing_records(g)
         assert satisfies_r1(g) == (not failing, failing) == oracle_r1(g), g
         assert satisfies_r1(g, early_exit=True) == (not failing, failing[:1]), g
         kinds |= {type(f) for f in failing}

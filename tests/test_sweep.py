@@ -143,7 +143,7 @@ def test_cross_check_builds_monoid_group_once(monkeypatch):
 
 def _count_facet_walks(monkeypatch) -> Counter:
     # every import site of the two facet enumerations and of the per-facet
-    # connectivity test counts its calls
+    # connectivity test counts its calls, and so does facets.py's neighborhood
     import edgering.cli
 
     counts: Counter = Counter()
@@ -162,12 +162,15 @@ def _count_facet_walks(monkeypatch) -> Counter:
     wrapper = counted("facet_connectivity_holds", edgering.serre.facet_connectivity_holds)
     for module in (edgering.serre, edgering.sweep, edgering.cli):
         monkeypatch.setattr(module, "facet_connectivity_holds", wrapper)
+    monkeypatch.setattr(FACETS, "neighborhood", counted("neighborhood", FACETS.neighborhood))
     return counts
 
 
 def test_cross_check_and_oracle_walk_the_facets_once(monkeypatch, capsys):
     # the criterion is tested at the oracle's records, so each graph's facets
-    # are enumerated once and each facet's connectivity is tested once
+    # are enumerated once and each facet's connectivity is tested once; the
+    # records carry their sides, so N(T) is computed only for the search's
+    # shared-neighbour table, once per vertex
     path = DATA_DIR / "conn7_sample.g6"
     graphs = parse_graph6(path.read_text())
     records = sum(len(edgering.oracle.facet_conditions(g)) for g in graphs)
@@ -175,7 +178,9 @@ def test_cross_check_and_oracle_walk_the_facets_once(monkeypatch, capsys):
         "iter_fundamental_sets": len(graphs),
         "regular_vertices": len(graphs),
         "facet_connectivity_holds": records,
+        "neighborhood": sum(g.d for g in graphs),
     }
+    assert once["neighborhood"] == 140
     counts = _count_facet_walks(monkeypatch)
     assert all(cross_check(g).failures == () for g in graphs)
     assert counts == once
