@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import prod
-from operator import mul
+from operator import getitem, mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -58,11 +58,11 @@ def _insert(rows: list[list[int]], pivots: list[int], vec: list[int], dim: int) 
 
 class IntegerLattice:
     """Sublattice of Z^dim, stored as echelon rows (strictly increasing pivot
-    columns); it never changes after construction.  It is read through rank,
-    pivots and pivot_product; kernel_of_form stays as the tests' reference.
+    columns), fixed at construction with its pivot product.  It is read through
+    rank, pivots and pivot_product; kernel_of_form stays as the tests' reference.
     """
 
-    __slots__ = ("dim", "pivots", "_rows")
+    __slots__ = ("dim", "pivots", "_rows", "_product")
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):
         if dim < 0:
@@ -75,6 +75,7 @@ class IntegerLattice:
                 raise ValueError(f"vector length {len(vec)} does not match dimension {dim}")
             _insert(rows, pivots, vec, dim)
         self.dim, self.pivots, self._rows = dim, tuple(pivots), rows
+        self._product = abs(prod(map(getitem, rows, pivots)))
 
     @property
     def rank(self) -> int:
@@ -85,7 +86,7 @@ class IntegerLattice:
 
         A lattice inside another equals it exactly when both have the same pivots and pivot product.
         """
-        return abs(prod(row[j] for row, j in zip(self._rows, self.pivots)))
+        return self._product
 
     def __repr__(self) -> str:
         return f"IntegerLattice(dim={self.dim}, rank={self.rank})"

@@ -46,11 +46,11 @@ from .facets import FacetDescriptor, SupportForm, facet_forms
 from .facets import support_form  # noqa: F401
 from .graph import (
     DisagreementError,
+    Edge,
     Graph,
     UnsupportedError,
     VertexSet,
     connected_components,
-    edge_vector,
     is_bipartite,
     odd_spanning_edges,
     require_connected,
@@ -67,7 +67,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     require_connected(g)
     if is_bipartite(g):
         raise UnsupportedError("graph is bipartite; its edge vectors span a proper sublattice")
-    lat = IntegerLattice(g.d, (edge_vector(e, g.d) for e in g.edges))
+    lat = IntegerLattice(g.d, _edge_vectors(g.d, g.edges))
     if not _is_even_sum_lattice(lat):
         raise DisagreementError("edge vectors did not span the even-sum lattice; internal error")
     return lat
@@ -79,8 +79,18 @@ def verify_even_sum_basis(g: Graph) -> bool:
     With sigma(x) the sum of x over even-depth minus odd-depth vertices, the tree's
     d - 1 edge vectors span ker sigma and the odd edge has sigma = +-2: index 2, a basis.
     """
-    gens = [edge_vector(e, g.d) for e in odd_spanning_edges(g)]
-    return _is_even_sum_lattice(IntegerLattice(g.d, gens))
+    return _is_even_sum_lattice(IntegerLattice(g.d, _edge_vectors(g.d, odd_spanning_edges(g))))
+
+
+def _edge_vectors(d: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
+    # graph.edge_vector of each edge, without its edge check: the edges are a Graph's
+    # own (g.edges or odd_spanning_edges), which graph._edge checked at construction
+    out = []
+    for i, j in edges:
+        v = [0] * d
+        v[i - 1] = v[j - 1] = 1
+        out.append(tuple(v))
+    return out
 
 
 def _is_even_sum_lattice(lat: IntegerLattice) -> bool:
@@ -126,24 +136,24 @@ def facet_conditions(g: Graph) -> list[FacetCheck]:
     for the even-sum group only: a caller that decides (R1) certifies that
     group with :func:`monoid_group`.
     """
-    vectors = [edge_vector(e, g.d) for e in g.edges]
+    vectors = _edge_vectors(g.d, g.edges)
     out = []
     for f, form in facet_forms(g):
-        c = form.coeffs
-        t = sum(1 << i for i, x in enumerate(c) if x < 0)
-        nb = sum(1 << i for i, x in enumerate(c) if x > 0)
+        t = nb = 0
+        for i, x in enumerate(form.coeffs):
+            if x < 0:
+                t |= 1 << i
+            elif x:
+                nb |= 1 << i
         values = _edge_numerators(g, form)
         zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
         # the coefficients are +-1 on P = T | N: solve form = 0 at P's last column,
         # and the sum is even on the rest, a condition exactly when R is nonempty
-        match = zero.pivots == _all_columns_but(g.d, (t | nb).bit_length() - 1)
+        last = (t | nb).bit_length() - 1  # the one column that is no pivot; -1 if P is empty
+        match = zero.rank == g.d - (last >= 0) and last not in zero.pivots
         match = match and zero.pivot_product() == (2 if (t | nb) != g.full else 1)
         out.append(FacetCheck(f, (t, nb), values, zero, form.denom in values, match))
     return out
-
-
-def _all_columns_but(d: int, col: int) -> tuple[int, ...]:
-    return (*range(col), *range(col + 1, d))
 
 
 def failing_facets(checks: Sequence[FacetCheck]) -> list[FacetDescriptor]:
@@ -189,10 +199,10 @@ def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     if t & nb:
         return False  # not independent, so not a fundamental set
     for (a, b), v in zip(g.edges, check.values):
-        ends = 1 << (a - 1) | 1 << (b - 1)
-        if v == 0 and bool(ends & t) != bool(ends & nb):
-            return False  # an edge within N or from N to the rest: not in D
-    return (
-        check.zero.pivots == _all_columns_but(g.d, part.bit_length() - 1)
-        and check.zero.pivot_product() == 1 << len(rest)
-    )
+        if v == 0:
+            ends = 1 << (a - 1) | 1 << (b - 1)
+            if bool(ends & t) != bool(ends & nb):
+                return False  # an edge within N or from N to the rest: not in D
+    last, zero = part.bit_length() - 1, check.zero  # -1 for an empty P: all d are pivots
+    pivots_match = zero.rank == g.d - (last >= 0) and last not in zero.pivots
+    return pivots_match and zero.pivot_product() == 1 << len(rest)

@@ -411,6 +411,17 @@ def even_sum_generators(d: int) -> list[list[int]]:
     return gens + [[2 if k == d - 1 else 0 for k in range(d)]]
 
 
+def all_columns_but(d: int, col: int) -> tuple[int, ...]:
+    """Every column of Z^d but col, in order; all d columns when col is -1.
+
+    Condition 2 and verify_decomposition once compared a zero lattice's pivots
+    with this tuple, col being the last column of P (-1 for an empty P); they
+    now read the same fact from the rank and one membership test, and this is
+    the comparison they are checked against.
+    """
+    return (*range(col), *range(col + 1, d))
+
+
 def form_value(form, vec) -> Fraction:
     """A support form evaluated exactly on a vector: sum c * x over denom."""
     return Fraction(sum(c * x for c, x in zip(form.coeffs, vec)), form.denom)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgering import IntegerLattice, xgcd
-from helpers import EagerLattice, canonical_basis, even_sum_generators
+from helpers import EagerLattice, all_columns_but, canonical_basis, even_sum_generators
 
 
 def is_member(dim, gens, vec):
@@ -311,6 +311,25 @@ def test_pivot_product_reads_echelon_pivots():
     a, b = IntegerLattice(2, [(1, 0)]), IntegerLattice(2, [(1, 1)])
     assert (a.pivots, a.pivot_product()) == (b.pivots, b.pivot_product())
     assert canonical_basis(a) != canonical_basis(b)
+
+
+@st.composite
+def lattices(draw, max_dim: int = 8) -> IntegerLattice:
+    # entries in -1..2 and up to dim + 1 vectors, so that every rank from 0 to
+    # dim, and a rank dim - 1 lattice missing any one pivot column, is common
+    dim = draw(st.integers(0, max_dim))
+    row = st.lists(st.integers(-1, 2), min_size=dim, max_size=dim)
+    return IntegerLattice(dim, draw(st.lists(row, max_size=dim + 1)))
+
+
+@given(lattices())
+@settings(max_examples=300)
+def test_rank_and_membership_read_every_column_but_one(lat):
+    # "the pivots are every column but col" (all of them for col = -1, an empty
+    # support) as the oracle reads it, against the tuple comparison it replaced
+    for col in range(-1, lat.dim):
+        by_rank = lat.rank == lat.dim - (col >= 0) and col not in lat.pivots
+        assert by_rank == (lat.pivots == all_columns_but(lat.dim, col))
 
 
 # ---------------------------------------------------------------------------

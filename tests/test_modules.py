@@ -104,6 +104,17 @@ def test_the_oracle_reads_no_connectivity_result():
     assert {"iter_fundamental_sets", "connected_within"} & names == set()
 
 
+def test_the_oracle_builds_its_edge_vectors_without_the_validating_rule():
+    # graph.edge_vector checks its edge on every call; the oracle's edges come
+    # from a Graph, which checked them when it was built, so oracle.py builds
+    # the vectors itself and never names edge_vector
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    fields = ("id", "attr", "name", "asname")  # names, attributes, imports, definitions
+    names = {getattr(node, field, None) for node in ast.walk(tree) for field in fields}
+    assert "facet_forms" in names  # the scan sees the oracle's names and imports
+    assert "edge_vector" not in names
+
+
 def _tracer_targets() -> set[tuple[str, str]]:
     # (file, name) of each module-level TARGETS entry of bench/tracer.py, whose
     # owners are the modules bound by name to edgering.<module>

@@ -5,8 +5,10 @@ import re
 import pytest
 from hypothesis import given, settings
 
+import edgering.oracle
 from edgering import (
     FacetCheck,
+    connected_components,
     facet_forms,
     is_bipartite,
     is_connected,
@@ -41,6 +43,7 @@ from edgering import (
 )
 from conftest import DATA_DIR
 from helpers import (
+    all_columns_but,
     brute_fundamental,
     brute_regular_vertex,
     connected_nonbipartite_graphs,
@@ -70,6 +73,17 @@ def test_edge_vector():
         edge_vector((2, 2), 3)
     with pytest.raises(ValueError, match="out of range"):
         edge_vector((1, 5), 4)
+
+
+def test_oracle_edge_vectors_equal_edge_vector():
+    # the oracle builds its edge vectors without edge_vector's edge check, which
+    # Graph already ran; the vectors must be the ones edge_vector gives
+    graphs_seen = 0
+    for g in _small_graphs():
+        vectors = [edge_vector(e, g.d) for e in g.edges]
+        assert edgering.oracle._edge_vectors(g.d, g.edges) == vectors
+        graphs_seen += 1
+    assert graphs_seen == 553
 
 
 def test_monoid_group_is_even_sum(bridge2):
@@ -353,6 +367,39 @@ def test_verify_decomposition_rejects_zero_values_outside_d(bridge2):
     marked = dataclasses.replace(check, values=check.values[:k] + (0,) + check.values[k + 1:])
     assert marked.zero.pivots == check.zero.pivots
     assert not verify_decomposition(bridge2, marked)
+
+
+def _column_tuple_pivot_data(g, check, product):
+    # the zero lattice's pivot data as condition 2 and verify_decomposition once
+    # compared it: its pivots against the tuple of every column but P's last
+    last = (check.sides[0] | check.sides[1]).bit_length() - 1
+    pivots = check.zero.pivots == all_columns_but(g.d, last)
+    return pivots and check.zero.pivot_product() == product
+
+
+def test_pivot_tests_equal_the_column_tuple_reference():
+    # condition 2 and verify_decomposition read "every column but P's last" from
+    # the rank and one membership test.  Against the tuple comparison, on every
+    # record of conn7_sample and on forged records with an empty P (column -1),
+    # where the reference asks for all d columns: the facet's own zero lattice
+    # has rank d - 1 and fails, the certified group has them and holds
+    records = 0
+    for g in parse_graph6((DATA_DIR / "conn7_sample.g6").read_text()):
+        group = monoid_group(g)
+        for check in facet_conditions(g):
+            part = check.sides[0] | check.sides[1]
+            rest = connected_components(g, g.full ^ part)
+            product = 2 if part != g.full else 1
+            assert check.match == _column_tuple_pivot_data(g, check, product)
+            # every zero-valued edge of a facet's record lies in D, so the pivot data decide
+            decomposition = _column_tuple_pivot_data(g, check, 1 << len(rest))
+            assert verify_decomposition(g, check) == decomposition
+            empty = dataclasses.replace(check, sides=(0, 0))
+            full = dataclasses.replace(empty, zero=group)
+            assert not verify_decomposition(g, empty) and not _column_tuple_pivot_data(g, empty, 2)
+            assert verify_decomposition(g, full) and _column_tuple_pivot_data(g, full, 2)
+            records += 1
+    assert records == 261
 
 
 @given(connected_nonbipartite_graphs(max_d=5))

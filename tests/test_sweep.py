@@ -4,6 +4,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
+import edgering.lattice
 import edgering.oracle
 import edgering.serre
 import edgering.sweep
@@ -188,6 +189,27 @@ def test_cross_check_and_oracle_walk_the_facets_once(monkeypatch, capsys):
     assert main(["oracle", str(path)]) == 0
     capsys.readouterr()
     assert counts == once
+
+
+def test_cross_check_takes_one_pivot_product_per_lattice(monkeypatch):
+    # a lattice never changes after construction, so its pivot product is
+    # computed once there, however often the oracle's checks read it
+    counts: Counter = Counter()
+    product, init = edgering.lattice.prod, IntegerLattice.__init__
+
+    def counted_product(*args):
+        counts["prod"] += 1
+        return product(*args)
+
+    def counted_init(lat, *args):
+        counts["init"] += 1
+        init(lat, *args)
+
+    monkeypatch.setattr(edgering.lattice, "prod", counted_product)
+    monkeypatch.setattr(IntegerLattice, "__init__", counted_init)
+    graphs = parse_graph6((DATA_DIR / "conn7_sample.g6").read_text())
+    assert all(cross_check(g).failures == () for g in graphs)
+    assert counts == {"prod": 301, "init": 301}
 
 
 def test_oracle_paths_certify_the_group_once(monkeypatch, capsys, tmp_path):
