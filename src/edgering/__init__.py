@@ -13,7 +13,7 @@ from .facets import (
     SupportForm,
     descriptor,
     facet_forms,
-    facets,
+    facet_walk,
     iter_fundamental_sets,
     regular_vertices,
     support_form,
@@ -65,6 +65,7 @@ from .serre import (
     ClassificationReport,
     classify,
     facet_connectivity_holds,
+    r1_violations,
     satisfies_odd_cycle_condition,
     satisfies_r1,
 )

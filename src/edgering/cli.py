@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .facets import FacetDescriptor, Fundamental, RegularVertex, SupportForm, facet_forms
+from .facets import FacetDescriptor, Fundamental, RegularVertex, SupportForm
+from .facets import facet_forms, facet_walk
 from .graph import (
     DisagreementError,
     FAMILIES,
@@ -32,7 +33,7 @@ from .graph import (
     vset,
 )
 from .oracle import facet_conditions, failing_facets, monoid_group
-from .serre import ClassificationReport, classify, facet_connectivity_holds
+from .serre import ClassificationReport, classify, r1_violations
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -188,7 +189,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_facets(args: argparse.Namespace) -> int:
     for input_id, g in _load_graphs(args.input, args.format):
-        forms = facet_forms(g)
+        forms = facet_forms(g, facet_walk(g))
         if args.json:
             entries = [
                 dict(violation_to_dict(f), form={"coeffs": list(form.coeffs), "denom": form.denom})
@@ -209,10 +210,11 @@ def cmd_facets(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     status = EXIT_OK
     for input_id, g in _load_graphs(args.input, args.format):
-        checks = facet_conditions(g)
+        walk = facet_walk(g)
+        checks = facet_conditions(g, walk)
         monoid_group(g)  # certifies the group that condition 2 reads in closed form
         oracle_violations = failing_facets(checks)
-        violations = [c.facet for c in checks if not facet_connectivity_holds(g, *c.sides)]
+        violations = list(r1_violations(walk))  # what classify reads
         agree = violations == oracle_violations
         if args.json:
             print(json.dumps({

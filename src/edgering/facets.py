@@ -1,7 +1,7 @@
 """Facet data of the edge polytope: regular vertices and fundamental sets.
 
 For a connected nonbipartite graph the facets of the edge polytope come in
-two kinds, which facets(g) alone lists, each named by a vertex or a vertex set:
+two kinds, which facet_walk(g) alone lists, each named by a vertex or a vertex set:
 
 * a vertex i is regular when every connected component of the graph with i
   deleted contains an odd cycle;
@@ -20,8 +20,7 @@ N minus the sum over T, halved when T and N exhaust the vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .graph import (
     Graph,
@@ -53,6 +52,7 @@ class Fundamental:
 
 
 FacetDescriptor = Union[RegularVertex, Fundamental]
+Facet = tuple[VertexSet, VertexSet, bool]  # a walk item (T, N, connected)
 
 
 def descriptor(t: VertexSet, nb: VertexSet) -> FacetDescriptor:
@@ -77,14 +77,13 @@ class SupportForm:
 # ---------------------------------------------------------------------------
 # regular vertices
 
-def regular_vertices(g: Graph) -> list[tuple[VertexSet, VertexSet, bool]]:
+def regular_vertices(g: Graph) -> list[Facet]:
     """(empty set, {v}, connected) for each regular vertex v, by label: every
     component of g - v contains an odd cycle; connected: g - v is connected."""
     # a list, not a generator, as bench/tracer.py times it with a plain span
-    full = g.full
     out = []
     for i in range(g.d):
-        rest = full ^ (1 << i)
+        rest = g.full ^ (1 << i)
         bad, lowest = first_component(g, rest, False)
         if not bad:
             out.append((0, 1 << i, lowest == rest))
@@ -94,7 +93,7 @@ def regular_vertices(g: Graph) -> list[tuple[VertexSet, VertexSet, bool]]:
 # ---------------------------------------------------------------------------
 # fundamental sets
 
-def iter_fundamental_sets(g: Graph) -> Iterator[tuple[VertexSet, VertexSet, bool]]:
+def iter_fundamental_sets(g: Graph) -> Iterator[Facet]:
     """(T, N(T), connected) for each fundamental set T, in lexicographic order
     of the sorted tuples of T; connected: V - (T | N(T)) is empty or connected.
 
@@ -135,33 +134,30 @@ def iter_fundamental_sets(g: Graph) -> Iterator[tuple[VertexSet, VertexSet, bool
 
 
 # ---------------------------------------------------------------------------
-# supporting forms and the facet list
+# the facet list and supporting forms
 
-def facet_forms(g: Graph) -> list[tuple[FacetDescriptor, SupportForm]]:
-    """Every facet descriptor with its supporting form: the regular vertices
-    by label, then the fundamental sets in lexicographic order.
-
-    Requires a connected nonbipartite graph; the facet description below
-    two dimensions degenerates otherwise.
-    """
+def facet_walk(g: Graph) -> list[Facet]:
+    """(T, N, connected) for every facet: the regular vertices by label, then the
+    fundamental sets in lexicographic order.  Requires a connected nonbipartite
+    graph; the facet description below two dimensions degenerates otherwise."""
     require_connected(g)
     if is_bipartite(g):
         raise UnsupportedError("graph is bipartite; facet data needs an odd cycle")
+    return [*regular_vertices(g), *iter_fundamental_sets(g)]
+
+
+def facet_forms(g: Graph, walk: Sequence[Facet]) -> list[tuple[FacetDescriptor, SupportForm]]:
+    """Each facet of a walk, in walk order, with its supporting form."""
     out = []
-    for t, nb, _ in chain(regular_vertices(g), iter_fundamental_sets(g)):
+    for t, nb, _ in walk:
         coeffs = tuple([(nb >> i & 1) - (t >> i & 1) for i in range(g.d)])
         out.append((descriptor(t, nb), SupportForm(coeffs, 2 if (t | nb) == g.full else 1)))
     return out
 
 
-def facets(g: Graph) -> list[FacetDescriptor]:
-    """All facet descriptors of the edge polytope, in facet_forms() order."""
-    return [f for f, _ in facet_forms(g)]
-
-
 def support_form(g: Graph, f: FacetDescriptor) -> SupportForm:
-    """Supporting form of a facet descriptor; raises ValueError unless f is in facets(g)."""
-    forms = dict(facet_forms(g))
+    """Supporting form of a facet descriptor; raises ValueError unless f is in the facet walk."""
+    forms = dict(facet_forms(g, facet_walk(g)))
     if f not in forms:
         raise ValueError(f"{f!r} is not a facet of this graph")
     return forms[f]

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .facets import FacetDescriptor, SupportForm, facet_forms
+from .facets import Facet, FacetDescriptor, SupportForm, facet_forms, facet_walk
 # not called here; bench/tracer.py wraps oracle.support_form by that name
 from .facets import support_form  # noqa: F401
 from .graph import (
@@ -115,7 +115,7 @@ def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
 class FacetCheck:
     """The oracle's data on one facet.
 
-    sides is (T, N), where the form is -1 and +1: (T, N(T)) or (empty set, {i});
+    sides is the walk's (T, N), where the form is -1 and +1: (T, N(T)) or (empty set, {i});
     values holds denom * form on each edge vector, in edge order; zero is the
     lattice generated by the zero-valued edge vectors; unit and match are
     conditions 1 and 2.  Records compare by identity.
@@ -129,8 +129,8 @@ class FacetCheck:
     match: bool
 
 
-def facet_conditions(g: Graph) -> list[FacetCheck]:
-    """Both conditions for every facet, one record per facet in facet order.
+def facet_conditions(g: Graph, walk: Sequence[Facet]) -> list[FacetCheck]:
+    """A record of both conditions per facet of a walk, in order: from its sides, never its flag.
 
     Condition 2 reads the kernel in closed form (module docstring), which holds
     for the even-sum group only: a caller that decides (R1) certifies that
@@ -138,13 +138,7 @@ def facet_conditions(g: Graph) -> list[FacetCheck]:
     """
     vectors = _edge_vectors(g.d, g.edges)
     out = []
-    for f, form in facet_forms(g):
-        t = nb = 0
-        for i, x in enumerate(form.coeffs):
-            if x < 0:
-                t |= 1 << i
-            elif x:
-                nb |= 1 << i
+    for (t, nb, _), (f, form) in zip(walk, facet_forms(g, walk), strict=True):
         values = _edge_numerators(g, form)
         zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
         # the coefficients are +-1 on P = T | N: solve form = 0 at P's last column,
@@ -163,7 +157,7 @@ def failing_facets(checks: Sequence[FacetCheck]) -> list[FacetDescriptor]:
 
 def oracle_r1(g: Graph) -> tuple[bool, list[FacetDescriptor]]:
     """(R1) verdict by the lattice route, with the failing facets."""
-    checks = facet_conditions(g)  # first, so that bad input gets the facet error message
+    checks = facet_conditions(g, facet_walk(g))  # first: bad input gets the facet walk's error
     monoid_group(g)  # certifies the group that condition 2 reads in closed form
     violations = failing_facets(checks)
     return (not violations, violations)

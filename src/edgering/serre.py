@@ -4,7 +4,7 @@ The edge ring of a connected nonbipartite graph satisfies (R1) exactly when
 V - (T | N) is empty or connected at every facet (T, N) of the edge polytope,
 where a regular vertex i is (empty set, {i}) and a fundamental set T is
 (T, N(T)).  Both facet walks yield (T, N, connected), decided by the flood
-that found the facet, and satisfies_r1 reads that flag at every facet;
+that found the facet, and r1_violations reads that flag in a walk;
 facet_connectivity_holds tests one facet on its own, given its sides (T, N).
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
@@ -24,9 +24,10 @@ of g - N[a].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
-from .facets import FacetDescriptor, descriptor, iter_fundamental_sets, regular_vertices
+from .facets import Facet, FacetDescriptor, descriptor, iter_fundamental_sets, regular_vertices
 from .graph import (
     Cycle,
     DisagreementError,
@@ -61,6 +62,11 @@ def facet_connectivity_holds(g: Graph, t: VertexSet, nb: VertexSet) -> bool:
     return connected_within(g, g.full ^ (t | nb))
 
 
+def r1_violations(walk: Iterable[Facet]) -> Iterator[FacetDescriptor]:
+    """The (R1) rule: each walk item (T, N, connected) whose rest is not connected, named."""
+    return (descriptor(t, nb) for t, nb, connected in walk if not connected)
+
+
 def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[FacetDescriptor]]:
     """Decide (R1) for the edge ring of a connected graph.
 
@@ -68,17 +74,13 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     descriptors whose connectivity condition fails: regular vertices by
     label, then fundamental sets in lexicographic order.  Bipartite graphs
     are normal and pass with no violations.
-    With early_exit the search stops at the first violation.
+    With early_exit the lazy walk stops at the first violation.
     """
     require_connected(g)
     if is_bipartite(g):
         return (True, [])
-    violations: list[FacetDescriptor] = []
-    for t, nb, connected in chain(regular_vertices(g), iter_fundamental_sets(g)):
-        if not connected:
-            violations.append(descriptor(t, nb))
-            if early_exit:
-                break
+    walk = chain(regular_vertices(g), iter_fundamental_sets(g))
+    violations = list(islice(r1_violations(walk), 1 if early_exit else None))
     return (not violations, violations)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .facets import facet_walk
 from .graph import DisagreementError, Graph, is_bipartite, is_connected, serialize_graph6
 from .oracle import (
     facet_conditions,
@@ -21,7 +22,7 @@ from .oracle import (
     verify_even_sum_basis,
     verify_facet_rank,
 )
-from .serre import facet_connectivity_holds, satisfies_odd_cycle_condition
+from .serre import facet_connectivity_holds, r1_violations, satisfies_odd_cycle_condition
 # not called here; bench/tracer.py wraps sweep.satisfies_r1 by that name
 from .serre import satisfies_r1  # noqa: F401
 
@@ -50,10 +51,11 @@ def cross_check(g: Graph) -> CrossCheck:
       decomposition           zero-set lattice identity failed at some facet
       occ-implies-r1          normal graph failing (R1)
       facet-support           a support form is not a facet form
+      walk-flag               the walk's own connectivity flags name other violations
 
-    The criterion is tested at the oracle's records, so the facets are enumerated
-    once and the oracle reads no connectivity result.  Each route's verdict is
-    "no violations", so verdict-mismatch implies violation-mismatch by construction.
+    The facets are walked once.  The oracle reads the walk's sides, never its
+    flags; the criterion is retested at each record, the flags' reference.  A
+    route's verdict is "no violations", so verdict-mismatch implies violation-mismatch.
     """
     fails: list[str] = []
     certified = True
@@ -62,7 +64,8 @@ def cross_check(g: Graph) -> CrossCheck:
     except DisagreementError:
         certified = False
         fails.append("monoid-group")
-    checks = facet_conditions(g)
+    walk = facet_walk(g)
+    checks = facet_conditions(g, walk)
     holds = [facet_connectivity_holds(g, *c.sides) for c in checks]
     t_viols = [c.facet for c, ok in zip(checks, holds) if not ok]
     records = checks if certified else []
@@ -71,6 +74,8 @@ def cross_check(g: Graph) -> CrossCheck:
         fails.append("verdict-mismatch")
     if certified and t_viols != o_viols:
         fails.append("violation-mismatch")
+    if list(r1_violations(walk)) != t_viols:
+        fails.append("walk-flag")
     if not verify_even_sum_basis(g):
         fails.append("basis-construction")
     if not all(c.unit for c in records):

@@ -7,7 +7,6 @@ can compare two implementations that share no code.
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +14,7 @@ from fractions import Fraction
 import networkx as nx
 from hypothesis import strategies as st
 
+import edgering.facets
 from edgering import (
     FacetCheck,
     Graph,
@@ -281,16 +281,14 @@ def random_connected_nonbipartite(rng: random.Random, d: int, p: float) -> Graph
 def count_rest_floods(monkeypatch) -> list[int]:
     """The list into which every parity flood that facets.py runs records
     its vertex set, until monkeypatch is undone."""
-    # by module path: the package re-exports the function facets()
-    module = importlib.import_module("edgering.facets")
     floods: list[int] = []
-    original = module.first_component
+    original = edgering.facets.first_component
 
     def counted(g, within, odd_cycle):
         floods.append(within)
         return original(g, within, odd_cycle)
 
-    monkeypatch.setattr(module, "first_component", counted)
+    monkeypatch.setattr(edgering.facets, "first_component", counted)
     return floods
 
 

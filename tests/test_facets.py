@@ -1,13 +1,15 @@
 import gc
-import importlib
 import inspect
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 
+import edgering.facets
+from conftest import DATA_DIR
 from edgering import (
     Fundamental,
     Graph,
@@ -21,14 +23,17 @@ from edgering import (
     descriptor,
     facet_conditions,
     facet_forms,
-    facets,
+    facet_walk,
     is_bipartite,
     is_connected,
     iter_fundamental_sets,
     labelled_graphs,
     members,
     neighborhood,
+    parse_graph6,
+    r1_violations,
     regular_vertices,
+    satisfies_r1,
     support_form,
     vset,
 )
@@ -43,6 +48,11 @@ from helpers import (
     random_connected_nonbipartite,
     random_graph,
 )
+
+
+def descriptors(g: Graph) -> list:
+    """The facet descriptors of g, in walk order."""
+    return [descriptor(t, nb) for t, nb, _ in facet_walk(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +123,17 @@ def test_descriptor_names_the_walks_pairs(bridge2):
     assert descriptor(vset([3, 4]), vset([2, 5])) == Fundamental(vset([3, 4]))
     pairs = [(t, nb) for t, nb, _ in regular_vertices(bridge2)]
     pairs += [(t, nb) for t, nb, _ in iter_fundamental_sets(bridge2)]
-    assert [descriptor(t, nb) for t, nb in pairs] == facets(bridge2)
-    assert [c.sides for c in facet_conditions(bridge2)] == pairs
+    assert [descriptor(t, nb) for t, nb in pairs] == descriptors(bridge2)
+    assert [c.sides for c in facet_conditions(bridge2, facet_walk(bridge2))] == pairs
 
 
 def test_records_carry_their_facets_sides():
-    # the oracle's records read (T, N) off the form's signs; a fundamental set
+    # the oracle's records take (T, N) from the walk; a fundamental set
     # T has sides (T, N(T)) and a regular vertex i has (empty set, {i}), and
     # the sides name the record's facet again
     kinds = set()
     for g in regular_vertex_flag_graphs():
-        for c in facet_conditions(g):
+        for c in facet_conditions(g, facet_walk(g)):
             if isinstance(c.facet, Fundamental):
                 assert c.sides == (c.facet.mask, neighborhood(g, c.facet.mask)), (g, c.facet)
             else:
@@ -278,7 +288,7 @@ def test_fundamental_sets_match_brute_force(g):
 
 
 def test_fundamental_predicate_matches_brute_on_random_subsets():
-    # support_form accepts a vertex set exactly when facets(g) lists it
+    # support_form accepts a vertex set exactly when the facet walk lists it
     rng = random.Random(5)
     for _ in range(30):
         g = random_connected_nonbipartite(rng, 7, 0.35)
@@ -325,7 +335,7 @@ def test_is_fundamental_rejects_bad_sets(bridge2):
 
 
 def test_support_form_validates(bridge2):
-    # only a descriptor that facets(g) lists has a form; a negative mask would
+    # only a descriptor that the facet walk lists has a form; a negative mask would
     # loop forever in the error message's repr if members accepted it
     for f in (
         RegularVertex(3),
@@ -357,7 +367,7 @@ def test_support_form_type_invariants():
 # the facet list
 
 def test_facets_bridge2(bridge2):
-    fs = facets(bridge2)
+    fs = descriptors(bridge2)
     assert len(fs) == 17
     assert fs[:6] == [RegularVertex(v) for v in (1, 2, 5, 6, 7, 8)]
     assert Fundamental(vset([3, 4])) in fs
@@ -368,27 +378,27 @@ def test_facets_bridge2(bridge2):
 
 
 def test_facets_small():
-    assert facets(complete_graph(3)) == [Fundamental(1 << (v - 1)) for v in (1, 2, 3)]
-    assert len(facets(cycle_graph(5))) == 5
-    assert len(facets(complete_graph(4))) == 8
+    assert descriptors(complete_graph(3)) == [Fundamental(1 << (v - 1)) for v in (1, 2, 3)]
+    assert len(facet_walk(cycle_graph(5))) == 5
+    assert len(facet_walk(complete_graph(4))) == 8
 
 
 def test_facets_rejects_disconnected_and_bipartite():
     from edgering import Graph
 
     with pytest.raises(ValueError, match="not connected"):
-        facets(Graph(4, ((1, 2), (3, 4))))
+        facet_walk(Graph(4, ((1, 2), (3, 4))))
     with pytest.raises(ValueError, match="bipartite"):
-        facets(cycle_graph(4))
+        facet_walk(cycle_graph(4))
 
 
 def test_facets_refuses_disconnected_and_bipartite_as_unsupported():
     from edgering import Graph, UnsupportedError
 
     with pytest.raises(UnsupportedError, match="not connected"):
-        facets(Graph(4, ((1, 2), (3, 4))))
+        facet_walk(Graph(4, ((1, 2), (3, 4))))
     with pytest.raises(UnsupportedError, match="bipartite"):
-        facets(cycle_graph(4))
+        facet_walk(cycle_graph(4))
 
 
 def test_fundamental_repr_shows_vertices():
@@ -404,7 +414,7 @@ def test_facet_forms_support_the_generators(g):
     # on at least one
     from edgering import edge_vector
 
-    for f in facets(g):
+    for f in descriptors(g):
         form = support_form(g, f)
         values = [form_value(form, edge_vector(e, g.d)) for e in g.edges]
         assert all(v >= 0 for v in values)
@@ -415,18 +425,21 @@ def test_facet_forms_support_the_generators(g):
 @given(connected_nonbipartite_graphs(max_d=6))
 @settings(max_examples=30)
 def test_facet_forms_pair_facets_with_validated_forms(g):
-    pairs = facet_forms(g)
-    assert [f for f, _ in pairs] == facets(g)
+    walk = facet_walk(g)
+    pairs = facet_forms(g, walk)
+    assert [f for f, _ in pairs] == descriptors(g)
     assert all(form == support_form(g, f) for f, form in pairs)
-    # each record's sides are (T, N): the vertices where its form is -1 and +1
-    for check, (f, form) in zip(facet_conditions(g), pairs, strict=True):
+    # each record's sides are the walk's (T, N): where its form is -1 and +1
+    for check, (f, form) in zip(facet_conditions(g, walk), pairs, strict=True):
         by_sign = [vset(i for i, c in enumerate(form.coeffs, 1) if c == s) for s in (-1, 1)]
         assert (check.facet, check.sides) == (f, tuple(by_sign))
 
 
 def test_facet_forms_rejects_like_facets():
+    # facet_forms reads any walk; the walk refuses the graphs that have no facet list
+    assert facet_forms(cycle_graph(4), []) == []
     with pytest.raises(ValueError, match="bipartite"):
-        facet_forms(cycle_graph(4))
+        facet_forms(cycle_graph(4), facet_walk(cycle_graph(4)))
 
 
 @pytest.mark.parametrize("g", [
@@ -437,15 +450,50 @@ def test_facet_forms_rejects_like_facets():
 def test_facet_forms_take_n_of_t_from_the_walk(monkeypatch, g):
     # facets.py computes neighborhoods once per vertex, for the search's
     # shared-neighbour table; each form reads its N off the walk's pair
-    module = importlib.import_module("edgering.facets")  # the package re-exports facets()
     calls: list[int] = []
-    original = module.neighborhood
+    original = edgering.facets.neighborhood
 
     def counted(g, t):
         calls.append(t)
         return original(g, t)
 
-    monkeypatch.setattr(module, "neighborhood", counted)
-    forms = facet_forms(g)
+    monkeypatch.setattr(edgering.facets, "neighborhood", counted)
+    forms = facet_forms(g, facet_walk(g))
     assert len(calls) == g.d
     assert any(isinstance(f, Fundamental) for f, _ in forms)
+
+
+# ---------------------------------------------------------------------------
+# one walk, one (R1) rule
+
+def walk_targets():
+    # every connected nonbipartite labelled graph with d <= 5, conn7, and the
+    # gnp goldens, one of which has a failing fundamental set
+    for d in range(1, 6):
+        for g in labelled_graphs(d):
+            if is_connected(g) and not is_bipartite(g):
+                yield g
+    for name in ("conn7.g6", "gnp_d18_20_22.g6"):
+        yield from parse_graph6((DATA_DIR / name).read_text())
+
+
+def test_the_package_attribute_facets_is_the_module():
+    assert edgering.facets is sys.modules["edgering.facets"]
+
+
+def test_facet_walk_is_both_walks_in_order():
+    graphs = 0
+    for g in walk_targets():
+        assert facet_walk(g) == list(chain(regular_vertices(g), iter_fundamental_sets(g))), g
+        graphs += 1
+    assert graphs == 553 + 350 + 3
+
+
+def test_satisfies_r1_reads_the_walks_violations():
+    kinds = set()
+    for g in walk_targets():
+        violations = list(r1_violations(facet_walk(g)))
+        assert satisfies_r1(g) == (not violations, violations), g
+        assert satisfies_r1(g, early_exit=True)[1] == violations[:1], g
+        kinds |= {type(f) for f in violations}
+    assert kinds == {RegularVertex, Fundamental}

@@ -51,7 +51,7 @@ def test_no_except_clause_catches_broad_errors():
 
 
 def test_only_the_cli_branches_on_the_descriptor_kind():
-    # facets(g) alone says what a facet is, and every check reads a facet's
+    # facet_walk(g) alone says what a facet is, and every check reads a facet's
     # sides (T, N) off its walk item or its FacetCheck record; only the CLI's
     # renderers tell the kinds apart
     kinds = {"RegularVertex", "Fundamental"}
@@ -102,6 +102,23 @@ def test_the_oracle_reads_no_connectivity_result():
     assert "facet_forms" in names  # the scan sees the oracle's facet input
     assert "serre" not in modules | names
     assert {"iter_fundamental_sets", "connected_within"} & names == set()
+
+
+def test_the_oracle_reads_the_walks_sides_never_its_flags():
+    # a walk item is (T, N, connected), and the flag is the criterion's verdict:
+    # every 3-element unpacking in oracle.py binds its third name to _, and
+    # oracle.py never names the flag or the rule that reads it
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    unpacked = [
+        node.elts for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store) and len(node.elts) == 3
+    ]
+    assert unpacked  # the scan sees the oracle's loop over the walk
+    assert all(getattr(elts[2], "id", None) == "_" for elts in unpacked)
+    fields = ("id", "attr", "name", "asname", "arg")  # names, attributes, imports, arguments
+    names = {getattr(node, field, None) for node in ast.walk(tree) for field in fields}
+    assert "facet_walk" in names  # the scan sees the oracle's walk
+    assert {"connected", "r1_violations"} & names == set()
 
 
 def test_the_oracle_builds_its_edge_vectors_without_the_validating_rule():
@@ -194,7 +211,9 @@ def test_readme_library_example_runs_as_documented():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     exec(compile(code, "README.md", "exec"), namespace)
-    report, checks = namespace["report"], namespace["checks"]
+    report, checks, walk = namespace["report"], namespace["checks"], namespace["walk"]
+    assert [c.sides for c in checks] == [(t, nb) for t, nb, _ in walk]
+    assert list(namespace["r1_violations"](walk)) == []
     assert report.normal is False and report.r1 is True
     assert report.occ_violation == ((1, 2, 3), (4, 5, 6))
     assert (checks[0].unit, checks[0].match) == (True, True)

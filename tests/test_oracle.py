@@ -10,6 +10,7 @@ from edgering import (
     FacetCheck,
     connected_components,
     facet_forms,
+    facet_walk,
     is_bipartite,
     is_connected,
     labelled_graphs,
@@ -30,7 +31,6 @@ from edgering import (
     edge_vector,
     facet_conditions,
     facet_connectivity_holds,
-    facets,
     failing_facets,
     monoid_group,
     oracle_r1,
@@ -59,7 +59,7 @@ from helpers import (
 
 def check_for(g, f) -> FacetCheck:
     """The facet_conditions record of one facet."""
-    (check,) = [c for c in facet_conditions(g) if c.facet == f]
+    (check,) = [c for c in facet_conditions(g, facet_walk(g)) if c.facet == f]
     return check
 
 
@@ -174,15 +174,15 @@ def test_lattice_match_bridge1_witness(bridge1):
 
 
 def test_facet_conditions_bridge2(bridge2):
-    checks = facet_conditions(bridge2)
+    checks = facet_conditions(bridge2, facet_walk(bridge2))
     assert len(checks) == 17
-    assert [c.facet for c in checks] == facets(bridge2)
+    assert [c.facet for c in checks] == [descriptor(t, nb) for t, nb, _ in facet_walk(bridge2)]
     assert all(c.unit and c.match for c in checks)
     assert failing_facets(checks) == []
 
 
 def test_facet_conditions_bridge1(bridge1):
-    checks = facet_conditions(bridge1)
+    checks = facet_conditions(bridge1, facet_walk(bridge1))
     assert failing_facets(checks) == [RegularVertex(7)]
     by_facet = {c.facet: (c.unit, c.match) for c in checks}
     assert by_facet[RegularVertex(7)] == (True, False)
@@ -194,8 +194,8 @@ def test_facet_check_records_match_their_forms(g):
     # values are denom * form on each edge vector, zero is the lattice of the
     # zero-valued edge vectors, and unit is condition 1, each recomputed here
     # from the validated support_form
-    checks = facet_conditions(g)
-    assert [c.facet for c in checks] == facets(g)
+    checks = facet_conditions(g, facet_walk(g))
+    assert [c.facet for c in checks] == [descriptor(t, nb) for t, nb, _ in facet_walk(g)]
     for c in checks:
         form = support_form(g, c.facet)
         vectors = [edge_vector(e, g.d) for e in g.edges]
@@ -207,7 +207,7 @@ def test_facet_check_records_match_their_forms(g):
 
 
 def test_facet_check_is_frozen(bridge2):
-    check = facet_conditions(bridge2)[0]
+    check = facet_conditions(bridge2, facet_walk(bridge2))[0]
     with pytest.raises(AttributeError):
         check.unit = False
 
@@ -252,7 +252,7 @@ def test_verify_facet_rank(bridge2, bridge1):
 
 def test_verify_facet_rank_all_facets(bridge2):
     for g in (complete_graph(3), cycle_graph(5), bridge2):
-        for c in facet_conditions(g):
+        for c in facet_conditions(g, facet_walk(g)):
             assert verify_facet_rank(g, c)
 
 
@@ -280,7 +280,7 @@ def test_verify_decomposition(bridge2):
     assert verify_decomposition(bridge2, check_for(bridge2, Fundamental(vset([1]))))
     assert verify_decomposition(bridge2, check_for(bridge2, Fundamental(vset([3, 4]))))
     assert verify_decomposition(bridge2, check_for(bridge2, RegularVertex(7)))
-    for c in facet_conditions(bridge2):
+    for c in facet_conditions(bridge2, facet_walk(bridge2)):
         assert verify_decomposition(bridge2, c)
 
 
@@ -386,7 +386,7 @@ def test_pivot_tests_equal_the_column_tuple_reference():
     records = 0
     for g in parse_graph6((DATA_DIR / "conn7_sample.g6").read_text()):
         group = monoid_group(g)
-        for check in facet_conditions(g):
+        for check in facet_conditions(g, facet_walk(g)):
             part = check.sides[0] | check.sides[1]
             rest = connected_components(g, g.full ^ part)
             product = 2 if part != g.full else 1
@@ -406,7 +406,7 @@ def test_pivot_tests_equal_the_column_tuple_reference():
 @settings(max_examples=20, deadline=None)
 def test_structural_checks_hold_everywhere(g):
     assert verify_even_sum_basis(g)
-    for c in facet_conditions(g):
+    for c in facet_conditions(g, facet_walk(g)):
         assert verify_facet_rank(g, c)
         assert verify_decomposition(g, c)
 
@@ -429,7 +429,8 @@ def test_lattice_match_equals_canonical_equality():
     for g in _shortcut_targets():
         vectors = [edge_vector(e, g.d) for e in g.edges]
         group = EagerLattice(g.d, vectors)
-        for check, (f, form) in zip(facet_conditions(g), facet_forms(g), strict=True):
+        walk = facet_walk(g)
+        for check, (f, form) in zip(facet_conditions(g, walk), facet_forms(g, walk), strict=True):
             assert check.facet == f
             zero = EagerLattice(g.d, [v for v, x in zip(vectors, check.values) if x == 0])
             assert check.match == (zero.basis == group.kernel_of_form(form.coeffs).basis)
@@ -442,7 +443,7 @@ def test_facet_rank_equals_diff_lattice_reference():
     # differences, on the same 7 586 facets as above
     facets_seen = 0
     for g in _shortcut_targets():
-        for check in facet_conditions(g):
+        for check in facet_conditions(g, facet_walk(g)):
             assert verify_facet_rank(g, check) == diff_lattice_facet_rank(g, check)
             facets_seen += 1
     assert facets_seen == 7586
@@ -459,13 +460,14 @@ def _with_hnf_kernels_as_zero(g, hnf):
     # each group as the even-sum lattice of its d, so the kernel depends on the
     # form alone
     kernels = []
-    for _, form in facet_forms(g):
+    walk = facet_walk(g)
+    for _, form in facet_forms(g, walk):
         if form.coeffs not in hnf:
             hnf[form.coeffs] = monoid_group(g).kernel_of_form(form.coeffs)
         kernels.append(hnf[form.coeffs])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("edgering.oracle.IntegerLattice", lambda dim, vectors, it=iter(kernels): next(it))
-        return facet_conditions(g)
+        return facet_conditions(g, walk)
 
 
 def test_closed_form_kernel_exhibits(bridge2):
@@ -499,7 +501,8 @@ def test_closed_form_kernels_equal_hnf_kernels():
 @settings(max_examples=40, deadline=None)
 def test_closed_form_kernels_equal_hnf_kernels_property(g):
     group = monoid_group(g)
-    for check, (_, form) in zip(facet_conditions(g), facet_forms(g), strict=True):
+    walk = facet_walk(g)
+    for check, (_, form) in zip(facet_conditions(g, walk), facet_forms(g, walk), strict=True):
         kernel = group.kernel_of_form(form.coeffs)
         assert check.match == (canonical_basis(check.zero) == canonical_basis(kernel))
     assert all(c.match for c in _with_hnf_kernels_as_zero(g, {}))

@@ -16,9 +16,10 @@ from edgering import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    descriptor,
     facet_conditions,
     facet_connectivity_holds,
-    facets,
+    facet_walk,
     is_bipartite,
     is_connected,
     labelled_graphs,
@@ -207,7 +208,7 @@ def test_facet_connectivity_holds(bridge2, bridge1):
 def failing_records(g: Graph) -> list:
     # the facets whose record's sides (T, N) fail the connectivity test, which
     # floods V - (T | N) on its own
-    return [c.facet for c in facet_conditions(g) if not facet_connectivity_holds(g, *c.sides)]
+    return [c.facet for c in facet_conditions(g, facet_walk(g)) if not facet_connectivity_holds(g, *c.sides)]
 
 
 @given(connected_nonbipartite_graphs(max_d=6))
@@ -367,6 +368,6 @@ def test_normal_implies_r1(g):
 @settings(max_examples=30)
 def test_violations_are_facets(g):
     report = classify(g)
-    all_facets = facets(g)
+    all_facets = [descriptor(t, nb) for t, nb, _ in facet_walk(g)]
     for f in report.r1_violations:
         assert f in all_facets

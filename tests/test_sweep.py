@@ -1,9 +1,9 @@
-import importlib
 from collections import Counter
 
 import networkx as nx
 import pytest
 
+import edgering.facets
 import edgering.lattice
 import edgering.oracle
 import edgering.serre
@@ -17,6 +17,7 @@ from edgering import (
     bridge_graph,
     connected_within,
     cross_check,
+    facet_walk,
     is_bipartite,
     is_connected,
     labelled_graphs,
@@ -28,9 +29,6 @@ from edgering import (
 )
 from edgering.cli import main
 from helpers import nx_graph
-
-# edgering.facets is the package's facets() function, not the module
-FACETS = importlib.import_module("edgering.facets")
 
 
 def test_cross_check_clean_on_exhibits(bridge2, bridge1):
@@ -145,8 +143,6 @@ def test_cross_check_builds_monoid_group_once(monkeypatch):
 def _count_facet_walks(monkeypatch) -> Counter:
     # every import site of the two facet enumerations and of the per-facet
     # connectivity test counts its calls, and so does facets.py's neighborhood
-    import edgering.cli
-
     counts: Counter = Counter()
 
     def counted(name, original):
@@ -157,38 +153,40 @@ def _count_facet_walks(monkeypatch) -> Counter:
         return wrapper
 
     for name in ("iter_fundamental_sets", "regular_vertices"):
-        wrapper = counted(name, getattr(FACETS, name))
-        for module in (FACETS, edgering.serre):
+        wrapper = counted(name, getattr(edgering.facets, name))
+        for module in (edgering.facets, edgering.serre):
             monkeypatch.setattr(module, name, wrapper)
     wrapper = counted("facet_connectivity_holds", edgering.serre.facet_connectivity_holds)
-    for module in (edgering.serre, edgering.sweep, edgering.cli):
+    for module in (edgering.serre, edgering.sweep):
         monkeypatch.setattr(module, "facet_connectivity_holds", wrapper)
-    monkeypatch.setattr(FACETS, "neighborhood", counted("neighborhood", FACETS.neighborhood))
+    monkeypatch.setattr(edgering.facets, "neighborhood", counted("neighborhood", edgering.facets.neighborhood))
     return counts
 
 
 def test_cross_check_and_oracle_walk_the_facets_once(monkeypatch, capsys):
-    # the criterion is tested at the oracle's records, so each graph's facets
-    # are enumerated once and each facet's connectivity is tested once; the
-    # records carry their sides, so N(T) is computed only for the search's
-    # shared-neighbour table, once per vertex
+    # each graph's facets are walked once, and the records carry the walk's
+    # sides, so N(T) is computed only for the search's shared-neighbour table,
+    # once per vertex.  cross_check tests each record's connectivity once more,
+    # as the reference for the walk's flags; the CLI reads the flags alone
+    import edgering.cli
+
+    assert not hasattr(edgering.cli, "facet_connectivity_holds")
     path = DATA_DIR / "conn7_sample.g6"
     graphs = parse_graph6(path.read_text())
-    records = sum(len(edgering.oracle.facet_conditions(g)) for g in graphs)
-    once = {
+    records = sum(len(facet_walk(g)) for g in graphs)
+    walks = {
         "iter_fundamental_sets": len(graphs),
         "regular_vertices": len(graphs),
-        "facet_connectivity_holds": records,
         "neighborhood": sum(g.d for g in graphs),
     }
-    assert once["neighborhood"] == 140
+    assert walks["neighborhood"] == 140
     counts = _count_facet_walks(monkeypatch)
     assert all(cross_check(g).failures == () for g in graphs)
-    assert counts == once
+    assert counts == {**walks, "facet_connectivity_holds": records}
     counts.clear()
     assert main(["oracle", str(path)]) == 0
     capsys.readouterr()
-    assert counts == once
+    assert counts == walks
 
 
 def test_cross_check_takes_one_pivot_product_per_lattice(monkeypatch):
@@ -231,9 +229,9 @@ def test_half_integral_form_is_raised_not_tagged(monkeypatch, bridge1):
     # facet data, not a failed group identity: cross_check lets it propagate
     import edgering.oracle
 
-    forms = edgering.oracle.facet_forms(bridge1)
+    forms = edgering.oracle.facet_forms(bridge1, facet_walk(bridge1))
 
-    def halved(g):
+    def halved(g, walk):
         return [(f, SupportForm(form.coeffs, 2)) for f, form in forms]
 
     monkeypatch.setattr(edgering.oracle, "facet_forms", halved)
@@ -244,10 +242,21 @@ def test_half_integral_form_is_raised_not_tagged(monkeypatch, bridge1):
 def _forms_never_halved(monkeypatch):
     original = edgering.oracle.facet_forms
 
-    def whole(g):
-        return [(f, SupportForm(form.coeffs, 1)) for f, form in original(g)]
+    def whole(g, walk):
+        return [(f, SupportForm(form.coeffs, 1)) for f, form in original(g, walk)]
 
     monkeypatch.setattr(edgering.oracle, "facet_forms", whole)
+
+
+def _regular_vertex_flags_true(monkeypatch):
+    # every regular vertex's rest is reported connected, in both walks
+    original = edgering.facets.regular_vertices
+
+    def forced(g):
+        return [(t, nb, True) for t, nb, _ in original(g)]
+
+    for module in (edgering.facets, edgering.serre):
+        monkeypatch.setattr(module, "regular_vertices", forced)
 
 
 def _pivot_product_1_for_2(monkeypatch):
@@ -261,12 +270,12 @@ def _pivot_product_1_for_2(monkeypatch):
 
 
 def _last_fundamental_set_dropped(monkeypatch):
-    original = FACETS.iter_fundamental_sets
+    original = edgering.facets.iter_fundamental_sets
 
     def dropped(g):
         return iter(list(original(g))[:-1])
 
-    for module in (FACETS, edgering.serre):
+    for module in (edgering.facets, edgering.serre):
         monkeypatch.setattr(module, "iter_fundamental_sets", dropped)
 
 
@@ -294,7 +303,7 @@ CONNECTIVITY_TAGS = {"verdict-mismatch", "violation-mismatch", "lattice-vs-conne
 FAULT_TABLE = [
     pytest.param(
         lambda mp: mp.setattr(edgering.serre, "connected_within", lambda g, s: True),
-        CONNECTIVITY_TAGS,
+        CONNECTIVITY_TAGS | {"walk-flag"},
         id="connected-within-always-true",
     ),
     pytest.param(
@@ -308,12 +317,13 @@ FAULT_TABLE = [
         id="forms-never-halved",
     ),
     pytest.param(
-        lambda mp: mp.setattr(FACETS, "regular_vertices", lambda g: [
+        lambda mp: mp.setattr(edgering.facets, "regular_vertices", lambda g: [
             (0, 1 << i, connected_within(g, g.full ^ 1 << i)) for i in range(g.d)
         ]),
         CONNECTIVITY_TAGS | {"occ-implies-r1", "facet-support", "decomposition"},
         id="every-vertex-regular",
     ),
+    pytest.param(_regular_vertex_flags_true, {"walk-flag"}, id="regular-vertex-flags-true"),
     pytest.param(
         _pivot_product_1_for_2,
         {"monoid-group", "basis-construction"},
@@ -344,3 +354,29 @@ def test_each_fault_fires_exactly_its_tags(monkeypatch, fault, expected):
     fault(monkeypatch)
     fired = {tag for g in graphs for tag in cross_check(g).failures}
     assert fired == expected
+
+
+def test_oracle_cli_reports_the_flags_classify_reads(monkeypatch, capsys):
+    # the CLI's "R1 (connectivity)" is the walk's own flags, so a fault in
+    # them shows there as a disagreement with the lattice route
+    _regular_vertex_flags_true(monkeypatch)
+    assert main(["oracle", str(DATA_DIR / "conn7_sample.g6")]) == 4
+    out = capsys.readouterr().out
+    assert out.count("agreement: MISMATCH") == 10
+    assert out.count("agreement: ok") == 10
+
+
+def test_walk_flag_fires_on_a_flipped_fundamental_set_flag(monkeypatch):
+    # no graph of conn7_sample has a failing fundamental set, so the fault
+    # table's regular-vertex row leaves the search's flag untested; here the
+    # first fundamental set's flag is flipped on the gnp goldens
+    original = edgering.facets.iter_fundamental_sets
+
+    def flipped(g):
+        (t, nb, connected), *rest = original(g)
+        return iter([(t, nb, not connected), *rest])
+
+    for module in (edgering.facets, edgering.serre):
+        monkeypatch.setattr(module, "iter_fundamental_sets", flipped)
+    graphs = parse_graph6((DATA_DIR / "gnp_d18_20_22.g6").read_text())
+    assert [cross_check(g).failures for g in graphs] == [("walk-flag",)] * 3
