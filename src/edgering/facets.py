@@ -93,7 +93,7 @@ def regular_vertices(g: Graph) -> list[Facet]:
 # ---------------------------------------------------------------------------
 # fundamental sets
 
-def iter_fundamental_sets(g: Graph) -> Iterator[Facet]:
+def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
     """(T, N(T), connected) for each fundamental set T, in lexicographic order
     of the sorted tuples of T; connected: V - (T | N(T)) is empty or connected.
 
@@ -101,6 +101,14 @@ def iter_fundamental_sets(g: Graph) -> Iterator[Facet]:
     T is connected in the graph H where two vertices share a neighbour.  So
     T grows along H by the ESU enumeration (Wernicke, IEEE/ACM TCBB 2006),
     and the cost scales with the H-connected independent sets, not with all.
+
+    With min_rest, only the sets whose rest V - (T | N(T)) has at least that
+    many vertices are yielded, and a node below the floor is skipped with its
+    whole subtree, since a child's rest is a subset of its parent's.  Every
+    component of a fundamental set's rest has an odd cycle, so a disconnected
+    rest has at least 6 vertices: min_rest=6 keeps every (R1) violation.  As
+    T and N(T) are nonempty, the rest has at most d - 2 vertices, so no
+    fundamental set fails (R1) when d <= 7.
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
@@ -115,6 +123,8 @@ def iter_fundamental_sets(g: Graph) -> Iterator[Facet]:
         stack = [(root, adj[r], share[r] & above & ~adj[r], root | share[r], 0)]
         while stack:
             t, nb, ext, reached, bad = stack.pop()
+            if min_rest and (full & ~(t | nb)).bit_count() < min_rest:
+                continue
             if not bad:
                 rest = full & ~(t | nb)
                 bad, lowest = first_component(g, rest, False)

@@ -278,6 +278,17 @@ def random_connected_nonbipartite(rng: random.Random, d: int, p: float) -> Graph
             return g
 
 
+def sparse_random_graphs() -> list[Graph]:
+    """Two seeded connected nonbipartite G(d, 0.15) draws for each d = 16..30:
+    sparse graphs, where fundamental sets fail (R1) far more often than in
+    the committed corpora."""
+    return [
+        random_connected_nonbipartite(random.Random(f"sparse-{d}-{i}"), d, 0.15)
+        for d in range(16, 31)
+        for i in range(2)
+    ]
+
+
 def count_rest_floods(monkeypatch) -> list[int]:
     """The list into which every parity flood that facets.py runs records
     its vertex set, until monkeypatch is undone."""

@@ -7,6 +7,7 @@ from itertools import chain
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgering.facets
 from conftest import DATA_DIR
@@ -47,6 +48,7 @@ from helpers import (
     independent_set_scan_fundamental_sets,
     random_connected_nonbipartite,
     random_graph,
+    sparse_random_graphs,
 )
 
 
@@ -217,8 +219,8 @@ def test_fundamental_sets_match_independent_set_scan_on_relabelled_bridges(k):
     assert carried_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
 
 
-def esu_work(monkeypatch, g: Graph) -> tuple[int, int]:
-    """(rest floods, search nodes) of one run of iter_fundamental_sets on g.
+def esu_work(monkeypatch, g: Graph, min_rest: int = 0) -> tuple[int, int]:
+    """(rest floods, search nodes) of one run of iter_fundamental_sets(g, min_rest).
 
     Floods are counted at the enumeration's call of first_component, and
     nodes as the executions of its stack.pop() line, through a line tracer
@@ -239,7 +241,7 @@ def esu_work(monkeypatch, g: Graph) -> tuple[int, int]:
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        list(iter_fundamental_sets(g))
+        list(iter_fundamental_sets(g, min_rest))
     finally:
         sys.settrace(previous)
     return len(floods), nodes
@@ -497,3 +499,61 @@ def test_satisfies_r1_reads_the_walks_violations():
         assert satisfies_r1(g, early_exit=True)[1] == violations[:1], g
         kinds |= {type(f) for f in violations}
     assert kinds == {RegularVertex, Fundamental}
+
+
+# ---------------------------------------------------------------------------
+# the rest floor
+
+def rest_size(g: Graph, t: int, nb: int) -> int:
+    return (g.full & ~(t | nb)).bit_count()
+
+
+def floor_targets():
+    # walk_targets, the bridge goldens, bridge_graph(1..10) and sparse G(d, 0.15)
+    yield from walk_targets()
+    yield from parse_graph6((DATA_DIR / "bridge_k7_10.g6").read_text())
+    yield from (bridge_graph(k) for k in range(1, 11))
+    yield from sparse_random_graphs()
+
+
+def test_the_floor_lists_the_full_walks_sets_with_large_rests():
+    # the floored search yields the full walk's items whose rest has at least
+    # 6 vertices, item for item and in order
+    kept = cut = 0
+    for g in floor_targets():
+        full = list(iter_fundamental_sets(g))
+        large = [f for f in full if rest_size(g, f[0], f[1]) >= 6]
+        assert list(iter_fundamental_sets(g, 6)) == large, g
+        kept += len(large)
+        cut += len(full) - len(large)
+    assert kept and cut
+
+
+def test_no_fundamental_set_fails_below_eight_vertices():
+    # T and N(T) are nonempty, so a rest has at most d - 2 <= 5 vertices when
+    # d <= 7, and a failing rest needs two components with an odd cycle each
+    graphs = 0
+    for g in walk_targets():
+        if g.d <= 7:
+            assert list(iter_fundamental_sets(g, 6)) == [], g
+            assert all(connected for _, _, connected in iter_fundamental_sets(g)), g
+            graphs += 1
+    assert graphs == 553 + 350
+
+
+@given(connected_nonbipartite_graphs(min_d=6, max_d=12), st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_the_floor_filters_the_full_walk_in_order(g, min_rest):
+    full = list(iter_fundamental_sets(g))
+    large = [f for f in full if rest_size(g, f[0], f[1]) >= min_rest]
+    assert list(iter_fundamental_sets(g, min_rest)) == large
+
+
+@pytest.mark.parametrize("k, full, floored", [(6, 574, 256), (8, 2302, 1500), (10, 9214, 7444)])
+def test_the_floor_skips_whole_subtrees(monkeypatch, k, full, floored):
+    # rests shrink down the search, so past the roots the floored search pops
+    # only the children of nodes whose rest reaches the floor; a floor that
+    # filtered the output alone would pop all 9 * 2^k - 2 nodes
+    g = bridge_graph(k)
+    assert esu_work(monkeypatch, g)[1] == full == 9 * 2**k - 2
+    assert esu_work(monkeypatch, g, 6)[1] == floored

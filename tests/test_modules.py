@@ -85,6 +85,27 @@ def test_only_the_fundamental_set_search_computes_neighborhoods():
     assert scopes == ["facets.iter_fundamental_sets"]
 
 
+def test_only_satisfies_r1_floors_the_fundamental_set_search():
+    # a floor on the rest drops the fundamental sets that cannot fail (R1);
+    # facet_walk, and through it the oracle and the sweep, need every facet.
+    # satisfies_r1 calls the search by its module global, which the tracer wraps
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "iter_fundamental_sets" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                calls.append((scope, type(child.func).__name__, len(child.args) + len(child.keywords)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert ("facets.facet_walk", "Name", 1) in calls  # the scan sees the full walk
+    assert [call for call in calls if call[2] != 1] == [("serre.satisfies_r1", "Name", 2)]
+
+
 def test_the_oracle_reads_no_connectivity_result():
     # the two (R1) routes stay independent: oracle.py imports nothing from
     # serre.py and never names the fundamental-set search, whose items carry

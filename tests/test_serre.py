@@ -22,10 +22,12 @@ from edgering import (
     facet_walk,
     is_bipartite,
     is_connected,
+    iter_fundamental_sets,
     labelled_graphs,
     neighborhood,
     oracle_r1,
     parse_graph6,
+    r1_violations,
     regular_vertices,
     satisfies_odd_cycle_condition,
     satisfies_r1,
@@ -40,6 +42,7 @@ from helpers import (
     pair_loop_odd_cycle_condition,
     random_connected_nonbipartite,
     random_graph,
+    sparse_random_graphs,
     subset_scan_chordless_odd_cycles,
 )
 
@@ -254,6 +257,37 @@ def test_r1_reads_the_search_flag_as_the_facet_test_and_the_oracle_do():
         assert satisfies_r1(g, early_exit=True) == (not failing, failing[:1]), g
         kinds |= {type(f) for f in failing}
     assert kinds == {RegularVertex, Fundamental}
+
+
+def test_r1_reads_the_full_walks_violations_on_sparse_graphs():
+    # satisfies_r1 searches only the fundamental sets whose rest has at least
+    # 6 vertices; the full walk's flags name the same violations, in order
+    graphs = [*parse_graph6((DATA_DIR / "bridge_k7_10.g6").read_text()), *violation_graphs()]
+    failing = 0
+    for g in graphs + sparse_random_graphs():
+        violations = list(r1_violations(facet_walk(g)))
+        assert satisfies_r1(g) == (not violations, violations), g
+        assert satisfies_r1(g, early_exit=True) == (not violations, violations[:1]), g
+        failing += any(isinstance(f, Fundamental) for f in violations)
+    assert failing == 9
+
+
+@given(connected_nonbipartite_graphs(min_d=8, max_d=12))
+@settings(max_examples=40, deadline=None)
+def test_r1_reads_the_full_walks_violations(g):
+    violations = list(r1_violations(facet_walk(g)))
+    assert satisfies_r1(g) == (not violations, violations)
+    assert satisfies_r1(g, early_exit=True) == (not violations, violations[:1])
+
+
+def test_the_floor_keeps_a_rest_of_exactly_six_vertices():
+    # N({1}) = {2}, and the rest of {1} is the two triangles 345 and 678,
+    # which no edge joins: the smallest rest that can fail
+    g = Graph(8, ((1, 2), (2, 3), (2, 6), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)))
+    assert satisfies_r1(g) == (False, [Fundamental(vset([1]))])
+    assert satisfies_r1(g, early_exit=True) == (False, [Fundamental(vset([1]))])
+    assert (vset([1]), vset([2]), False) in iter_fundamental_sets(g, 6)
+    assert list(iter_fundamental_sets(g, 7)) == []
 
 
 def _count_serre_floods(monkeypatch) -> list[int]:
