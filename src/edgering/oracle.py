@@ -9,21 +9,22 @@ the ring is regular in codimension one exactly when two exact conditions hold:
    full kernel of the form inside the group generated by all edge vectors.
 
 The zero-valued edge vectors lie in that kernel K by construction, so
-condition 2 is the sublattice rule of :meth:`IntegerLattice.pivot_product`
-(the same pivot columns and pivot product), with K's side read off a closed
-form and never built (Ohsugi & Hibi, J. Algebra 207, 1998).  With P the
-support of the form (the vertex i, or T and N(T)) and R the other columns:
+condition 2 is the sublattice rule of :meth:`IntegerLattice.pivot_product`.
+Each lattice the oracle compares has a closed form, never built (Ohsugi &
+Hibi, J. Algebra 207, 1998), and :func:`_has_closed_form` is its one rule:
+with (T, N) a facet's sides, (T, N(T)) or (empty set, {i}), P a set of columns
+and R the rest, the pivots are every column but the last of P (all d for an
+empty P), and the pivot product is known:
 
-* K: pivots every column but the last of P; pivot product 2, or 1 when R is
-  empty (the halved form, which agrees with the coordinate sum mod 2);
-* D (:func:`verify_decomposition`, at every facet (T, N), T empty at a regular
-  vertex) = {x on P : sum_T x = sum_N x} (+) the even-sum lattice of each rest
-  component: the same pivots; product 2 ** #components.
+  lattice                           P        pivot product
+  even-sum (:func:`monoid_group`)   empty    2
+  K (condition 2)                   T | N    2, or 1 for an empty R (the halved form)
+  D (:func:`verify_decomposition`)  T | N    2 ** #components of R
 
-K's closed form holds inside the even-sum lattice only, so each caller that
-decides (R1) certifies, with :func:`monoid_group` once per graph, that the
-edge vectors generate it: they have even coordinate sum, so their group fills
-that lattice exactly when it has rank d and pivot product 2.
+where D = {x on P : sum_T x = sum_N x} (+) the even-sum lattice of each
+component of R.  K's closed form holds inside the even-sum lattice only, so
+each caller that decides (R1) certifies, with :func:`monoid_group` once per
+graph, that the edge vectors, whose coordinate sums are even, generate it.
 
 :func:`facet_conditions` evaluates both conditions once per facet into
 :class:`FacetCheck` records, which the verdict and the structural checks read.
@@ -68,7 +69,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     if is_bipartite(g):
         raise UnsupportedError("graph is bipartite; its edge vectors span a proper sublattice")
     lat = IntegerLattice(g.d, _edge_vectors(g.d, g.edges))
-    if not _is_even_sum_lattice(lat):
+    if not _has_closed_form(lat, 0, 2):
         raise DisagreementError("edge vectors did not span the even-sum lattice; internal error")
     return lat
 
@@ -79,7 +80,7 @@ def verify_even_sum_basis(g: Graph) -> bool:
     With sigma(x) the sum of x over even-depth minus odd-depth vertices, the tree's
     d - 1 edge vectors span ker sigma and the odd edge has sigma = +-2: index 2, a basis.
     """
-    return _is_even_sum_lattice(IntegerLattice(g.d, _edge_vectors(g.d, odd_spanning_edges(g))))
+    return _has_closed_form(IntegerLattice(g.d, _edge_vectors(g.d, odd_spanning_edges(g))), 0, 2)
 
 
 def _edge_vectors(d: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
@@ -93,10 +94,11 @@ def _edge_vectors(d: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
     return out
 
 
-def _is_even_sum_lattice(lat: IntegerLattice) -> bool:
-    # lat is generated by vectors of even coordinate sum, so it lies inside the
-    # even-sum lattice, whose pivots are 0..d-1 with product 2 (module docstring)
-    return lat.rank == lat.dim and lat.pivot_product() == 2
+def _has_closed_form(lat: IntegerLattice, part: VertexSet, product: int) -> bool:
+    # the module docstring's rule: every column but P's last (-1 if P is empty) is a pivot
+    last = part.bit_length() - 1
+    shape = lat.rank == lat.dim - (last >= 0) and last not in lat.pivots
+    return shape and lat.pivot_product() == product
 
 
 def _edge_numerators(g: Graph, form: SupportForm) -> tuple[int, ...]:
@@ -141,11 +143,9 @@ def facet_conditions(g: Graph, walk: Sequence[Facet]) -> list[FacetCheck]:
     for (t, nb, _), (f, form) in zip(walk, facet_forms(g, walk), strict=True):
         values = _edge_numerators(g, form)
         zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
-        # the coefficients are +-1 on P = T | N: solve form = 0 at P's last column,
-        # and the sum is even on the rest, a condition exactly when R is nonempty
-        last = (t | nb).bit_length() - 1  # the one column that is no pivot; -1 if P is empty
-        match = zero.rank == g.d - (last >= 0) and last not in zero.pivots
-        match = match and zero.pivot_product() == (2 if (t | nb) != g.full else 1)
+        # K's product from the sides, not the form's denominator: the sum is even
+        # on the rest, a condition exactly when R is nonempty
+        match = _has_closed_form(zero, t | nb, 2 if (t | nb) != g.full else 1)
         out.append(FacetCheck(f, (t, nb), values, zero, form.denom in values, match))
     return out
 
@@ -175,11 +175,9 @@ def verify_facet_rank(g: Graph, check: FacetCheck) -> bool:
 def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
     """Structural identity behind condition 2 at the record's sides (T, N).
 
-    The record's zero lattice must equal D, with P = T | N:
-    D = {x on P : sum_T x = sum_N x} (+) the even-sum lattice of each rest component;
-    its pivots are every column but the last of P, its pivot product 2 ** (rest components).
-    The zero lattice lies in D exactly when each zero-valued edge joins T to N
-    or misses P, and then equals D exactly when the pivot data agree.  For an
+    The record's zero lattice must equal D of the module docstring, with
+    P = T | N.  It lies in D exactly when each zero-valued edge joins T to N
+    or misses P, and then equals D exactly when it has D's closed form.  For an
     independent T the zero lattice is the edge lattice of the T-to-N part plus
     those of the rest components, so a vertex set T with N = N(T) meets the
     identity exactly when it is fundamental.  At a regular vertex i the sides
@@ -197,6 +195,4 @@ def verify_decomposition(g: Graph, check: FacetCheck) -> bool:
             ends = 1 << (a - 1) | 1 << (b - 1)
             if bool(ends & t) != bool(ends & nb):
                 return False  # an edge within N or from N to the rest: not in D
-    last, zero = part.bit_length() - 1, check.zero  # -1 for an empty P: all d are pivots
-    pivots_match = zero.rank == g.d - (last >= 0) and last not in zero.pivots
-    return pivots_match and zero.pivot_product() == 1 << len(rest)
+    return _has_closed_form(check.zero, part, 1 << len(rest))

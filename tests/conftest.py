@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import edgering.oracle
 from edgering import Graph, bridge_graph
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -26,3 +27,15 @@ def bridge1() -> Graph:
 @pytest.fixture
 def corpus7_path() -> Path:
     return DATA_DIR / "conn7.g6"
+
+
+@pytest.fixture
+def even_sum_identity_fails(monkeypatch) -> None:
+    """The oracle's closed-form rule fails for an empty P alone: the group
+    identity fails, while K and D keep theirs."""
+    original = edgering.oracle._has_closed_form
+
+    def failed(lat, part, product):
+        return bool(part) and original(lat, part, product)
+
+    monkeypatch.setattr(edgering.oracle, "_has_closed_form", failed)

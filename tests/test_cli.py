@@ -195,6 +195,11 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert "loop" in stderr
+    path = tmp_path / "empty.g6"
+    path.write_text(">>graph6<<\n\n\n")
+    code, _, stderr = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    assert "no graphs in input" in stderr
 
 
 def test_missing_file_exits_2(capsys):
@@ -245,8 +250,7 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, name, data):
 
 
 @pytest.mark.parametrize("argv", [("oracle",), ("sweep", "--source")])
-def test_failed_group_identity_exits_4(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr("edgering.oracle._is_even_sum_lattice", lambda lat: False)
+def test_failed_group_identity_exits_4(tmp_path, capsys, even_sum_identity_fails, argv):
     path = tmp_path / "b2.g6"
     path.write_text(serialize_graph6(bridge_graph(2)) + "\n")
     code, stdout, stderr = run_cli(capsys, *argv, str(path))

@@ -220,6 +220,11 @@ def test_parse_graph6_rejects_bad_bytes():
         parse_graph6("B\x1f")
     with pytest.raises(ParseError, match="truncated"):
         parse_graph6("C")
+    for line in ("~", "~??"):
+        with pytest.raises(ParseError, match="truncated vertex count"):
+            parse_graph6(line)
+    with pytest.raises(ParseError, match="invalid graph6 byte in vertex count"):
+        parse_graph6("~? ?")
     with pytest.raises(ParseError, match="trailing"):
         parse_graph6("Bww")
     with pytest.raises(ParseError, match="padding"):

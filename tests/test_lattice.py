@@ -79,6 +79,8 @@ def test_vector_length_mismatch():
         IntegerLattice(2, [(1, 2, 3)])
     with pytest.raises(ValueError, match="length"):
         IntegerLattice(2, [(1, 0), (1, 2, 3)])
+    with pytest.raises(ValueError, match="dimension"):
+        IntegerLattice(-1)
 
 
 # ---------------------------------------------------------------------------

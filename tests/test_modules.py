@@ -67,22 +67,39 @@ def test_only_the_cli_branches_on_the_descriptor_kind():
     assert [name for name in found if name != "cli.py"] == []
 
 
-def test_only_the_fundamental_set_search_computes_neighborhoods():
-    # a facet's sides (T, N) travel with its walk item and its record, so no
-    # function recomputes N(T); the search names neighborhood once, for its
-    # shared-neighbour table
+def _scopes_naming(path: Path, names: set[str]) -> list[str]:
+    # the dotted scope (module.function) of each name or attribute in the file
+    # that is one of names, in source order
     scopes = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if "neighborhood" in (getattr(child, "id", None), getattr(child, "attr", None)):
+            if {getattr(child, "id", None), getattr(child, "attr", None)} & names:
                 scopes.append(scope)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
+    visit(ast.parse(path.read_text()), path.stem)
+    return scopes
+
+
+def test_only_the_fundamental_set_search_computes_neighborhoods():
+    # a facet's sides (T, N) travel with its walk item and its record, so no
+    # function recomputes N(T); the search names neighborhood once, for its
+    # shared-neighbour table
+    scopes = [
+        scope
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for scope in _scopes_naming(path, {"neighborhood"})
+    ]
     assert scopes == ["facets.iter_fundamental_sets"]
+
+
+def test_only_the_closed_form_rule_reads_pivots_in_the_oracle():
+    # the even-sum lattice, K and D share one pivot shape, and oracle.py states
+    # it once: only _has_closed_form names pivots or pivot_product
+    scopes = _scopes_naming(PACKAGE_DIR / "oracle.py", {"pivots", "pivot_product"})
+    assert set(scopes) == {"oracle._has_closed_form"}
 
 
 def test_only_satisfies_r1_floors_the_fundamental_set_search():
