@@ -34,7 +34,6 @@ from .graph import (
     connected_components,
     connected_within,
     cycle_graph,
-    edge_vector,
     first_component,
     generate_family,
     is_bipartite,

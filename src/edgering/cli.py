@@ -79,9 +79,10 @@ def violation_from_dict(dct: dict) -> FacetDescriptor:
     if dct["kind"] == "regular_vertex":
         return RegularVertex(dct["vertex"])
     if dct["kind"] == "fundamental_set":
-        if not dct["set"] or len(set(dct["set"])) != len(dct["set"]):
-            raise ValueError(f"fundamental set {dct['set']!r} is empty or repeats a vertex")
-        return Fundamental(vset(dct["set"]))
+        vs = dct["set"]  # JSON true and 1.0 would read as vertex 1
+        if not vs or len(set(vs)) != len(vs) or any(type(v) is not int for v in vs):
+            raise ValueError(f"fundamental set {vs!r} is not integral, empty or repeats a vertex")
+        return Fundamental(vset(vs))
     raise ValueError(f"unknown violation kind {dct.get('kind')!r}")
 
 
@@ -106,9 +107,11 @@ def report_from_dict(dct: dict) -> ClassificationReport:
     labels = [v for c in occ or () for v in c]
     for f in violations:
         labels += f.vertices if isinstance(f, Fundamental) else [f.vertex]
-    for v in labels:
-        if not 1 <= v <= dct["d"]:
-            raise ValueError(f"vertex {v} out of range 1..{dct['d']}")
+    if type(dct["d"]) is not int or dct["d"] < 1:
+        raise ValueError(f"vertex count {dct['d']!r} is not a positive integer")
+    for v in labels:  # a regular vertex or an odd cycle member may be any JSON value
+        if type(v) is not int or not 1 <= v <= dct["d"]:
+            raise ValueError(f"vertex {v!r} out of range 1..{dct['d']}")
     if occ is not None and (len(occ) != 2 or len({*occ[0], *occ[1]}) != len(occ[0]) + len(occ[1])
                             or any(len(c) < 3 or len(c) % 2 == 0 for c in occ)):
         raise ValueError(f"occ_violation {occ!r} is not two vertex-disjoint odd cycles")

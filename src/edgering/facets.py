@@ -24,13 +24,11 @@ from typing import Iterator, Sequence, Union
 
 from .graph import (
     Graph,
-    UnsupportedError,
     VertexSet,
     first_component,
-    is_bipartite,
     members,
     neighborhood,
-    require_connected,
+    require_nonbipartite,
 )
 
 
@@ -148,11 +146,8 @@ def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
 
 def facet_walk(g: Graph) -> list[Facet]:
     """(T, N, connected) for every facet: the regular vertices by label, then the
-    fundamental sets in lexicographic order.  Requires a connected nonbipartite
-    graph; the facet description below two dimensions degenerates otherwise."""
-    require_connected(g)
-    if is_bipartite(g):
-        raise UnsupportedError("graph is bipartite; facet data needs an odd cycle")
+    fundamental sets in lexicographic order, of a graph that require_nonbipartite admits."""
+    require_nonbipartite(g)
     return [*regular_vertices(g), *iter_fundamental_sets(g)]
 
 

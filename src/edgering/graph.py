@@ -74,7 +74,7 @@ class Graph:
     adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        if type(self.d) is not int or self.d < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.d!r}")
         if self.d > MAX_VERTICES:
             raise UnsupportedError(f"vertex count {self.d} exceeds the {MAX_VERTICES}-vertex bound")
@@ -102,20 +102,12 @@ class Graph:
 
 
 def _edge(i: int, j: int, d: int) -> Edge:
-    # the one edge rule: no loop and both ends in 1..d; returns the sorted pair
+    # the one edge rule: no loop, both ends plain ints (not bools) in 1..d; returns the sorted pair
     if i == j:
         raise ValueError(f"loop at vertex {i}")
-    if not (1 <= i <= d and 1 <= j <= d):
+    if not (type(i) is type(j) is int and 1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"edge {{{i},{j}}} out of range 1..{d}")
     return (i, j) if i < j else (j, i)
-
-
-def edge_vector(e: Edge, d: int) -> tuple[int, ...]:
-    """The 0/1 vector e_i + e_j of an edge {i, j} in Z^d."""
-    i, j = _edge(*e, d)
-    v = [0] * d
-    v[i - 1] = v[j - 1] = 1
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +461,13 @@ def odd_spanning_edges(g: Graph) -> tuple[Edge, ...]:
 def require_connected(g: Graph) -> None:
     if not is_connected(g):
         raise UnsupportedError("graph is not connected")
+
+
+def require_nonbipartite(g: Graph) -> None:
+    """Facet data needs g connected with an odd cycle, so that the edge polytope has dim d - 1."""
+    require_connected(g)
+    if is_bipartite(g):
+        raise UnsupportedError("graph is bipartite; facet data needs an odd cycle")
 
 
 # ---------------------------------------------------------------------------

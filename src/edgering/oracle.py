@@ -1,7 +1,7 @@
 """Monoid-lattice route to (R1), independent of the connectivity criterion.
 
 The edge ring is the monoid ring of the monoid generated by the edge vectors
-e_i + e_j in Z^d (graph.edge_vector).  Over each facet of the edge polytope
+e_i + e_j in Z^d (built by _edge_vectors).  Over each facet of the edge polytope
 the ring is regular in codimension one exactly when two exact conditions hold:
 
 1. some edge vector evaluates to 1 under the normalized supporting form;
@@ -49,12 +49,10 @@ from .graph import (
     DisagreementError,
     Edge,
     Graph,
-    UnsupportedError,
     VertexSet,
     connected_components,
-    is_bipartite,
     odd_spanning_edges,
-    require_connected,
+    require_nonbipartite,
 )
 from .lattice import IntegerLattice
 
@@ -65,9 +63,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     This is the even-coordinate-sum lattice; that identity is recomputed
     here and a mismatch raises, since condition 2's closed-form kernel relies on it.
     """
-    require_connected(g)
-    if is_bipartite(g):
-        raise UnsupportedError("graph is bipartite; its edge vectors span a proper sublattice")
+    require_nonbipartite(g)
     lat = IntegerLattice(g.d, _edge_vectors(g.d, g.edges))
     if not _has_closed_form(lat, 0, 2):
         raise DisagreementError("edge vectors did not span the even-sum lattice; internal error")
@@ -84,7 +80,7 @@ def verify_even_sum_basis(g: Graph) -> bool:
 
 
 def _edge_vectors(d: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
-    # graph.edge_vector of each edge, without its edge check: the edges are a Graph's
+    # the one edge-vector builder, e_i + e_j per edge, unchecked: the edges are a Graph's
     # own (g.edges or odd_spanning_edges), which graph._edge checked at construction
     out = []
     for i, j in edges:

@@ -20,11 +20,19 @@ from edgering import (
     Graph,
     IntegerLattice,
     connected_within,
-    edge_vector,
     members,
     neighborhood,
     vset,
 )
+
+
+def edge_vector(e: tuple[int, int], d: int) -> tuple[int, ...]:
+    """The 0/1 vector e_i + e_j of an edge {i, j} in Z^d, the reference the
+    oracle's builder is compared against."""
+    v = [0] * d
+    for end in e:
+        v[end - 1] += 1
+    return tuple(v)
 
 
 def nx_graph(g: Graph) -> nx.Graph:

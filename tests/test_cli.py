@@ -423,6 +423,24 @@ def test_closed_stdout_exits_141_quietly(name):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("command, name", [
+    ("classify", "conn7_sample"),
+    ("facets", "conn7_sample"),
+    ("oracle", "conn7_sample"),
+    ("classify", "gnp_d18_20_22"),
+    ("classify", "bridge_k7_10"),
+])
+def test_text_pinned_on_sample_files(capsys, monkeypatch, command, name):
+    # the text renderers' every line: "odd cycle condition: holds", a listed
+    # "R1 violations:" block, the blank line between graphs and the notes lines
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO((DATA_DIR / f"{name}.g6").read_text()))
+    code, stdout, _ = run_cli(capsys, command, "-", "--format", "graph6")
+    assert code == 0
+    assert stdout == (DATA_DIR / f"{name}.{command}.txt").read_text()
+
+
 # ---------------------------------------------------------------------------
 # report serialization helpers
 
@@ -469,15 +487,29 @@ def test_report_from_dict_rejects_labels_outside_the_graph(field, v):
     pytest.param("occ_violation", [[1, 2, 3], [1, 2, 3, 4]], id="occ-even-cycle"),
     pytest.param("occ_violation", [[1, 2, 3], [1, 2, 1]], id="occ-repeated-vertex"),
     pytest.param("occ_violation", [[1, 2, 3], [1, 2, 3]], id="occ-shared-vertex"),
+    pytest.param("d", "4", id="d-string"),
+    pytest.param("d", True, id="d-bool"),
+    pytest.param("regular_vertex", True, id="vertex-bool"),
+    pytest.param("regular_vertex", 2.0, id="vertex-float"),
+    pytest.param("regular_vertex", "2", id="vertex-string"),
+    pytest.param("fundamental_set", [True], id="set-bool"),
+    pytest.param("fundamental_set", [1.0], id="set-float"),
+    pytest.param("occ_violation", [[True, 2, 3], [4, 5, 6]], id="occ-bool"),
 ])
 def test_report_from_dict_rejects_shapes_no_classify_prints(field, value):
-    # every label lies in 1..d, so only the shape is wrong: a fundamental set
-    # is a nonempty set, and an odd cycle witness is two vertex-disjoint odd
-    # cycles of length at least 3 with distinct vertices
-    payload = report_to_dict("x", complete_graph(4), classify(complete_graph(4)))
-    if field == "fundamental_set":
+    # every number equals a label in 1..d, so only the shape is wrong: d and the
+    # labels are JSON integers (true and 2.0 compare equal to 1 and 2), a
+    # fundamental set is a nonempty set, and an odd cycle witness is two
+    # vertex-disjoint odd cycles of length at least 3 with distinct vertices
+    payload = report_to_dict("x", complete_graph(6), classify(complete_graph(6)))
+    if field == "d":
+        payload["d"] = value
+    elif field == "regular_vertex":
+        payload["r1_violations"] = [{"kind": "regular_vertex", "vertex": value}]
+    elif field == "fundamental_set":
         payload["r1_violations"] = [{"kind": "fundamental_set", "set": value}]
     else:
         payload["occ_violation"] = value
-    with pytest.raises(ValueError, match="empty or repeats|not two vertex-disjoint odd cycles"):
+    shapes = "empty or repeats|not two vertex-disjoint odd cycles|not a positive integer"
+    with pytest.raises(ValueError, match=f"{shapes}|vertex (True|2.0|'2') out of range"):
         report_from_dict(payload)

@@ -414,7 +414,7 @@ def test_fundamental_repr_shows_vertices():
 def test_facet_forms_support_the_generators(g):
     # every supporting form is nonnegative on all edge vectors and vanishes
     # on at least one
-    from edgering import edge_vector
+    from helpers import edge_vector
 
     for f in descriptors(g):
         form = support_form(g, f)

@@ -20,7 +20,6 @@ from edgering import (
     connected_components,
     connected_within,
     cycle_graph,
-    edge_vector,
     first_component,
     generate_family,
     is_bipartite,
@@ -122,24 +121,28 @@ def test_graph_rejects_duplicates():
 def test_graph_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         Graph(3, ((1, 4),))
+    # a bool is an int that serialize_edge_list writes as True; a float never is a label
+    for edges in (((True, 2), (2, 3)), ((1, 2.0),)):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, edges)
 
 
 @pytest.mark.parametrize("edge", [(2, 2), (0, 1), (1, 4)], ids=["loop", "end-0", "end-d-plus-1"])
 def test_edge_rule_gives_one_message(edge):
-    # Graph, edge_vector and the edge-list parser share one edge check
+    # Graph and the edge-list parser share one edge check
     with pytest.raises(ValueError) as graph_error:
         Graph(3, (edge,))
-    with pytest.raises(ValueError) as vector_error:
-        edge_vector(edge, 3)
     with pytest.raises(ParseError) as parse_error:
         parse_edge_list("3 1\n%d %d\n" % edge)
-    assert str(vector_error.value) == str(graph_error.value)
     assert str(parse_error.value) == f"line 2: {graph_error.value}"
 
 
 def test_graph_rejects_bad_vertex_count():
     with pytest.raises(ValueError):
         Graph(0, ())
+    for d in (True, 3.0):  # a bool is an int, but no vertex count
+        with pytest.raises(ValueError, match="positive integer"):
+            Graph(d, ())
     with pytest.raises(UnsupportedError):
         Graph(65, ())
 

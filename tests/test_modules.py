@@ -160,14 +160,14 @@ def test_the_oracle_reads_the_walks_sides_never_its_flags():
 
 
 def test_the_oracle_builds_its_edge_vectors_without_the_validating_rule():
-    # graph.edge_vector checks its edge on every call; the oracle's edges come
-    # from a Graph, which checked them when it was built, so oracle.py builds
-    # the vectors itself and never names edge_vector
+    # the oracle's edges come from a Graph, which checked them when it was
+    # built, so its builder _edge_vectors, the package's only one, runs no
+    # edge check: oracle.py names neither the edge rule nor another builder
     tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
     fields = ("id", "attr", "name", "asname")  # names, attributes, imports, definitions
     names = {getattr(node, field, None) for node in ast.walk(tree) for field in fields}
-    assert "facet_forms" in names  # the scan sees the oracle's names and imports
-    assert "edge_vector" not in names
+    assert {"facet_forms", "_edge_vectors"} <= names  # the scan sees names and definitions
+    assert {"edge_vector", "_edge"} & names == set()
 
 
 def _tracer_targets() -> set[tuple[str, str]]:
@@ -242,13 +242,40 @@ def test_every_private_module_name_is_used_in_its_module():
     assert offenders == []
 
 
+def _names_used(source: str) -> set[str]:
+    # every name loaded and every attribute read in a module's source
+    nodes = list(ast.walk(ast.parse(source)))
+    loaded = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return loaded | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def _readme_library_block() -> str:
+    readme = (TESTS_DIR.parent / "README.md").read_text()
+    return readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    # a public name earns its export by a caller in the package, a use in the
+    # bench, a tracer pin or a place in the README's Library example; one the
+    # tests alone reach belongs in tests/helpers.py as a reference
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE_DIR / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {"classify", "Graph", "IntegerLattice"} <= exported  # the scan sees the exports
+    used = {name for _, name in _tracer_targets()} | _names_used(_readme_library_block())
+    for path in [*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")]:
+        if path.name != "__init__.py":
+            used |= _names_used(path.read_text())
+    assert sorted(exported - used) == []
+
+
 def test_readme_library_example_runs_as_documented():
     # the README's Library block must name only live API and state true values
-    readme = (TESTS_DIR.parent / "README.md").read_text()
-    section = readme.split("\n## Library\n", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
-    exec(compile(code, "README.md", "exec"), namespace)
+    exec(compile(_readme_library_block(), "README.md", "exec"), namespace)
     report, checks, walk = namespace["report"], namespace["checks"], namespace["walk"]
     assert [c.sides for c in checks] == [(t, nb) for t, nb, _ in walk]
     assert list(namespace["r1_violations"](walk)) == []

@@ -28,7 +28,6 @@ from edgering import (
     cross_check,
     cycle_graph,
     descriptor,
-    edge_vector,
     facet_conditions,
     facet_connectivity_holds,
     failing_facets,
@@ -51,6 +50,7 @@ from helpers import (
     EagerLattice,
     canonical_basis,
     diff_lattice_facet_rank,
+    edge_vector,
     even_sum_generators,
     form_value,
     random_connected_nonbipartite,
@@ -66,18 +66,10 @@ def check_for(g, f) -> FacetCheck:
 # ---------------------------------------------------------------------------
 # edge vectors and the monoid group
 
-def test_edge_vector():
-    assert edge_vector((1, 3), 4) == (1, 0, 1, 0)
-    assert edge_vector((2, 1), 2) == (1, 1)
-    with pytest.raises(ValueError, match="loop"):
-        edge_vector((2, 2), 3)
-    with pytest.raises(ValueError, match="out of range"):
-        edge_vector((1, 5), 4)
-
-
 def test_oracle_edge_vectors_equal_edge_vector():
-    # the oracle builds its edge vectors without edge_vector's edge check, which
-    # Graph already ran; the vectors must be the ones edge_vector gives
+    # the oracle's builder, the package's one, skips the edge check that Graph
+    # already ran; its vectors must be the reference's e_i + e_j
+    assert edgering.oracle._edge_vectors(4, [(1, 3), (2, 4)]) == [(1, 0, 1, 0), (0, 1, 0, 1)]
     graphs_seen = 0
     for g in _small_graphs():
         vectors = [edge_vector(e, g.d) for e in g.edges]
