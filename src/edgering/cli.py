@@ -79,10 +79,10 @@ def violation_from_dict(dct: dict) -> FacetDescriptor:
     if dct["kind"] == "regular_vertex":
         return RegularVertex(dct["vertex"])
     if dct["kind"] == "fundamental_set":
-        vs = dct["set"]  # JSON true and 1.0 would read as vertex 1
-        if not vs or len(set(vs)) != len(vs) or any(type(v) is not int for v in vs):
-            raise ValueError(f"fundamental set {vs!r} is not integral, empty or repeats a vertex")
-        return Fundamental(vset(vs))
+        mask = vset(dct["set"])  # 0 exactly for an empty set
+        if not mask or mask.bit_count() != len(dct["set"]):
+            raise ValueError(f"fundamental set {dct['set']!r} is empty or repeats a vertex")
+        return Fundamental(mask)
     raise ValueError(f"unknown violation kind {dct.get('kind')!r}")
 
 
@@ -115,14 +115,15 @@ def report_from_dict(dct: dict) -> ClassificationReport:
     if occ is not None and (len(occ) != 2 or len({*occ[0], *occ[1]}) != len(occ[0]) + len(occ[1])
                             or any(len(c) < 3 or len(c) % 2 == 0 for c in occ)):
         raise ValueError(f"occ_violation {occ!r} is not two vertex-disjoint odd cycles")
-    return ClassificationReport(
-        bipartite=dct["bipartite"],
-        normal=dct["normal"],
-        r1=dct["r1"],
-        r1_violations=violations,
-        occ_violation=tuple(tuple(c) for c in occ) if occ is not None else None,
-        notes=dct["notes"],
-    )
+    occ = tuple(map(tuple, occ)) if occ is not None else None
+    report = ClassificationReport(dct["bipartite"], dct["r1"], violations, occ)
+    if type(report.bipartite) is not bool or type(report.r1) is not bool:
+        raise ValueError(f"bipartite {report.bipartite!r} or r1 {report.r1!r} is not a JSON bool")
+    if report.bipartite and (violations or occ is not None):
+        raise ValueError("a bipartite graph's report has no violation and no odd cycle witness")
+    if dct["normal"] is not report.normal or dct["notes"] != report.notes:  # 0 == False
+        raise ValueError(f"normal {dct['normal']} or notes {dct['notes']!r} contradicts witnesses")
+    return report
 
 
 # ---------------------------------------------------------------------------

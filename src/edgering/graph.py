@@ -38,11 +38,15 @@ class DisagreementError(RuntimeError):
 
 
 def vset(vertices: Iterable[int]) -> VertexSet:
-    """Bitmask for a collection of 1-based vertex labels."""
+    """Bitmask for 1-based vertex labels; the one label rule, checked before each shift."""
     mask = 0
     for v in vertices:
+        if type(v) is not int:  # a bool or a float would read as its value
+            raise ValueError(f"vertex label {v!r} is not a positive integer")
         if v < 1:
             raise ValueError(f"vertex label {v} below 1")
+        if v > MAX_VERTICES:
+            raise ValueError(f"vertex label {v} out of range 1..{MAX_VERTICES}")
         mask |= 1 << (v - 1)
     return mask
 

@@ -99,11 +99,19 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
 @dataclass(frozen=True)
 class ClassificationReport:
     bipartite: bool
-    normal: bool
     r1: bool
     r1_violations: tuple[FacetDescriptor, ...]
     occ_violation: tuple[Cycle, Cycle] | None
-    notes: str
+
+    @property
+    def normal(self) -> bool:  # read off the witness: the odd cycle condition (Ohsugi-Hibi)
+        return self.occ_violation is None
+
+    @property
+    def notes(self) -> str:  # a normal edge ring is Cohen-Macaulay (Hochster)
+        if self.normal:
+            return "normal hence Cohen-Macaulay"
+        return "satisfies (R1); normal iff Cohen-Macaulay" if self.r1 else ""
 
 
 def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
@@ -111,20 +119,6 @@ def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
     ok, violations = satisfies_r1(g, early_exit=early_exit)
     bipartite = is_bipartite(g)
     occ = None if bipartite else satisfies_odd_cycle_condition(g)
-    normal = occ is None
-    if normal and not ok:
+    if occ is None and not ok:
         raise DisagreementError("normal graph failed the (R1) criterion; internal error")
-    if normal:
-        notes = "normal hence Cohen-Macaulay"
-    elif ok:
-        notes = "satisfies (R1); normal iff Cohen-Macaulay"
-    else:
-        notes = ""
-    return ClassificationReport(
-        bipartite=bipartite,
-        normal=normal,
-        r1=ok,
-        r1_violations=tuple(violations),
-        occ_violation=occ,
-        notes=notes,
-    )
+    return ClassificationReport(bipartite, ok, tuple(violations), occ)

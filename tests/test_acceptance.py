@@ -71,15 +71,15 @@ def test_criterion_1_doubled_bridge_classification(capsys, bridge2):
     elapsed = time.perf_counter() - t0
     expected = ClassificationReport(
         bipartite=False,
-        normal=False,
         r1=True,
         r1_violations=(),
         occ_violation=((1, 2, 3), (4, 5, 6)),
-        notes="satisfies (R1); normal iff Cohen-Macaulay",
     )
-    ok = report == expected and elapsed < 1.0
+    derived = (report.normal, report.notes) == (False, "satisfies (R1); normal iff Cohen-Macaulay")
+    ok = report == expected and derived and elapsed < 1.0
     _report(capsys, 1, "doubled bridge classification", ok, f"{elapsed*1000:.0f} ms")
     assert report == expected
+    assert derived
     assert elapsed < 1.0
 
 

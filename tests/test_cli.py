@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,10 @@ from edgering import (
     Graph,
     bridge_graph,
     classify,
+    complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
+    parse_graph6,
     serialize_edge_list,
     serialize_graph6,
 )
@@ -155,6 +159,19 @@ def test_classify_json_pinned_on_relabelled_bridges(capsys, monkeypatch):
     code, stdout, _ = run_cli(capsys, "classify", "-", "--format", "graph6", "--json")
     assert code == 0
     assert stdout == (DATA_DIR / "bridge_k7_10.classify.jsonl").read_text()
+
+
+@pytest.mark.parametrize("name", ["gnp_d18_20_22", "bridge_k7_10"])
+def test_classify_goldens_roundtrip_through_the_decoder(name):
+    # the (R1)-but-not-normal graphs and the one failing fundamental set: each
+    # golden line decodes, and re-encodes with its graph to the same bytes
+    graphs = parse_graph6((DATA_DIR / f"{name}.g6").read_text())
+    lines = (DATA_DIR / f"{name}.classify.jsonl").read_text().splitlines()
+    assert len(lines) == len(graphs)
+    for g, line in zip(graphs, lines):
+        dct = json.loads(line)
+        report = report_from_dict(dct)
+        assert json.dumps(report_to_dict(dct["input"], g, report), sort_keys=True) == line
 
 
 def test_classify_graph6_input(tmp_path, capsys, bridge2):
@@ -462,10 +479,11 @@ def test_report_from_dict_rejects_unknown_kind():
         })
 
 
-@pytest.mark.parametrize("v", [0, 9])
+@pytest.mark.parametrize("v", [0, 9, 10**8])
 @pytest.mark.parametrize("field", ["regular_vertex", "fundamental_set", "occ_violation"])
 def test_report_from_dict_rejects_labels_outside_the_graph(field, v):
-    # d is read from the report itself; complete_graph(4) is the valid base
+    # d is read from the report itself; complete_graph(4) is the valid base.
+    # A label of 10**8 is refused before any 10**8-bit mask is built
     payload = report_to_dict("x", complete_graph(4), classify(complete_graph(4)))
     assert payload["d"] == 4
     if field == "regular_vertex":
@@ -512,4 +530,40 @@ def test_report_from_dict_rejects_shapes_no_classify_prints(field, value):
         payload["occ_violation"] = value
     shapes = "empty or repeats|not two vertex-disjoint odd cycles|not a positive integer"
     with pytest.raises(ValueError, match=f"{shapes}|vertex (True|2.0|'2') out of range"):
+        report_from_dict(payload)
+
+
+BOOL = "is not a JSON bool"
+READ_OFF = "contradicts witnesses"
+NO_WITNESS = "a bipartite graph's report has no violation and no odd cycle witness"
+
+
+@pytest.mark.parametrize("g, change, pattern", [
+    pytest.param(complete_graph(4), {"r1": "yes"}, BOOL, id="r1-string"),
+    pytest.param(complete_graph(4), {"r1": "yes", "normal": 0}, BOOL, id="r1-string-normal-0"),
+    pytest.param(complete_graph(4), {"bipartite": 1}, BOOL, id="bipartite-1"),
+    pytest.param(complete_graph(4), {"normal": 0}, READ_OFF, id="normal-0"),
+    pytest.param(bridge_graph(2), {"normal": 0}, READ_OFF, id="normal-0-where-false"),
+    pytest.param(complete_graph(4), {"notes": 5}, READ_OFF, id="notes-5"),
+    pytest.param(bridge_graph(2), {"normal": True}, READ_OFF, id="normal-beside-occ-pair"),
+    pytest.param(bridge_graph(2), {"notes": "normal hence Cohen-Macaulay"}, READ_OFF, id="notes-of-normal"),
+    pytest.param(bridge_graph(1), {"notes": "satisfies (R1); normal iff Cohen-Macaulay"}, READ_OFF,
+                 id="notes-of-r1-where-r1-false"),
+    pytest.param(complete_bipartite_graph(2, 3),
+                 {"r1_violations": [{"kind": "regular_vertex", "vertex": 1}]}, NO_WITNESS,
+                 id="bipartite-violation"),
+    pytest.param(cycle_graph(6),
+                 {"occ_violation": [[1, 2, 3], [4, 5, 6]], "normal": False,
+                  "notes": "satisfies (R1); normal iff Cohen-Macaulay"}, NO_WITNESS,
+                 id="bipartite-occ-pair"),
+])
+def test_report_from_dict_refuses_flags_the_witnesses_contradict(g, change, pattern):
+    # normal and notes are read off the witnesses, so JSON that states others
+    # is refused ("normal": 0 too, though 0 == False); bipartite and r1 are
+    # JSON bools, and a bipartite graph's report holds no witness.  Each base
+    # report decodes as it is, and each change alone is well-formed
+    payload = report_to_dict("x", g, classify(g))
+    assert report_from_dict(payload) == classify(g)
+    payload.update(change)
+    with pytest.raises(ValueError, match=re.escape(pattern)):
         report_from_dict(payload)

@@ -71,6 +71,10 @@ SET_ARGUMENT_CALLS = {
         pytest.param(lambda: members(-1), "negative vertex set", id="members"),
         pytest.param(lambda: repr(Fundamental(-1)), "negative vertex set", id="fundamental-repr"),
         pytest.param(lambda: vset([2, 0]), "vertex label 0 below 1", id="vset-label-0"),
+        pytest.param(lambda: vset([True]), "vertex label True is not a positive integer", id="vset-bool"),
+        pytest.param(lambda: vset([1.0]), "vertex label 1.0 is not a positive integer", id="vset-float"),
+        pytest.param(lambda: vset([65]), re.escape("vertex label 65 out of range 1..64"), id="vset-65"),
+        pytest.param(lambda: vset([10**8]), "vertex label 100000000 out of range", id="vset-huge"),
         *(
             pytest.param(lambda f=f: f(complete_graph(3), -1), "negative vertex set", id=name)
             for name, f in SET_ARGUMENT_CALLS.items()
@@ -87,7 +91,8 @@ SET_ARGUMENT_CALLS = {
 )
 def test_negative_vertex_set_raises(call, pattern):
     # a negative mask has infinitely many set bits, so reading off its
-    # members would never end; a bit past vertex d names no vertex of the graph
+    # members would never end; a bit past vertex d names no vertex of the graph;
+    # vset refuses a label that is not a plain int in 1..64 before shifting it
     with pytest.raises(ValueError, match=pattern):
         call()
 

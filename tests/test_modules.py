@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -272,6 +273,18 @@ def test_every_export_has_a_user_outside_the_tests():
     assert sorted(exported - used) == []
 
 
+def test_a_report_stores_its_witnesses_and_reads_normality_and_notes_off_them():
+    # normal is "no odd cycle pair" and notes follow from normal and (R1), so the
+    # record stores neither, and each notes string is written in one place
+    from edgering import ClassificationReport
+
+    names = [f.name for f in dataclasses.fields(ClassificationReport)]
+    assert names == ["bipartite", "r1", "r1_violations", "occ_violation"]
+    source = "".join(path.read_text() for path in PACKAGE_DIR.glob("*.py"))
+    for notes in ["normal hence Cohen-Macaulay", "satisfies (R1); normal iff Cohen-Macaulay"]:
+        assert source.count(f'"{notes}"') == 1, notes
+
+
 def test_readme_library_example_runs_as_documented():
     # the README's Library block must name only live API and state true values
     namespace: dict = {}
@@ -280,6 +293,7 @@ def test_readme_library_example_runs_as_documented():
     assert [c.sides for c in checks] == [(t, nb) for t, nb, _ in walk]
     assert list(namespace["r1_violations"](walk)) == []
     assert report.normal is False and report.r1 is True
+    assert report.notes == "satisfies (R1); normal iff Cohen-Macaulay"
     assert report.occ_violation == ((1, 2, 3), (4, 5, 6))
     assert (checks[0].unit, checks[0].match) == (True, True)
 
