@@ -75,11 +75,18 @@ def violation_to_dict(f: FacetDescriptor) -> dict:
     return {"kind": "fundamental_set", "set": list(f.vertices)}
 
 
+def _json(value, kind: type, what: str):
+    """value, once it is a JSON array (kind list) or a JSON object (kind dict)."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} {value!r} is not a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def violation_from_dict(dct: dict) -> FacetDescriptor:
-    if dct["kind"] == "regular_vertex":
+    if _json(dct, dict, "violation")["kind"] == "regular_vertex":
         return RegularVertex(dct["vertex"])
     if dct["kind"] == "fundamental_set":
-        mask = vset(dct["set"])  # 0 exactly for an empty set
+        mask = vset(_json(dct["set"], list, "fundamental set"))  # 0 exactly for an empty set
         if not mask or mask.bit_count() != len(dct["set"]):
             raise ValueError(f"fundamental set {dct['set']!r} is empty or repeats a vertex")
         return Fundamental(mask)
@@ -102,16 +109,19 @@ def report_to_dict(input_id: str, g: Graph, report: ClassificationReport) -> dic
 
 
 def report_from_dict(dct: dict) -> ClassificationReport:
-    occ = dct["occ_violation"]
-    violations = tuple(violation_from_dict(v) for v in dct["r1_violations"])
-    labels = [v for c in occ or () for v in c]
-    for f in violations:
-        labels += f.vertices if isinstance(f, Fundamental) else [f.vertex]
+    occ = _json(dct, dict, "report")["occ_violation"]
+    listed = _json(dct["r1_violations"], list, "r1_violations")
+    violations = tuple(violation_from_dict(v) for v in listed)
     if type(dct["d"]) is not int or dct["d"] < 1:
         raise ValueError(f"vertex count {dct['d']!r} is not a positive integer")
-    for v in labels:  # a regular vertex or an odd cycle member may be any JSON value
-        if type(v) is not int or not 1 <= v <= dct["d"]:
-            raise ValueError(f"vertex {v!r} out of range 1..{dct['d']}")
+    if occ is not None:
+        occ = [_json(c, list, "odd cycle") for c in _json(occ, list, "occ_violation")]
+    labels = [v for c in occ or () for v in c]
+    for v in listed:  # each kind is known; a regular vertex or a cycle member may be any JSON value
+        labels += v["set"] if v["kind"] == "fundamental_set" else [v["vertex"]]
+    mask = vset(labels)
+    if mask >> dct["d"]:
+        raise ValueError(f"vertex {mask.bit_length()} out of range 1..{dct['d']}")
     if occ is not None and (len(occ) != 2 or len({*occ[0], *occ[1]}) != len(occ[0]) + len(occ[1])
                             or any(len(c) < 3 or len(c) % 2 == 0 for c in occ)):
         raise ValueError(f"occ_violation {occ!r} is not two vertex-disjoint odd cycles")

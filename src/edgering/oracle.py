@@ -153,7 +153,7 @@ def failing_facets(checks: Sequence[FacetCheck]) -> list[FacetDescriptor]:
 
 def oracle_r1(g: Graph) -> tuple[bool, list[FacetDescriptor]]:
     """(R1) verdict by the lattice route, with the failing facets."""
-    checks = facet_conditions(g, facet_walk(g))  # first: bad input gets the facet walk's error
+    checks = facet_conditions(g, facet_walk(g))
     monoid_group(g)  # certifies the group that condition 2 reads in closed form
     violations = failing_facets(checks)
     return (not violations, violations)

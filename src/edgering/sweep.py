@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .facets import facet_walk
-from .graph import DisagreementError, Graph, is_bipartite, is_connected, serialize_graph6
+from .graph import DisagreementError, Graph, UnsupportedError, require_nonbipartite, serialize_graph6
 from .oracle import (
     facet_conditions,
     failing_facets,
@@ -111,7 +111,9 @@ def run_sweep(graphs: Iterable[Graph]) -> SweepSummary:
     bipartite graphs are skipped and counted."""
     summary = SweepSummary()
     for g in graphs:
-        if not is_connected(g) or is_bipartite(g):
+        try:
+            require_nonbipartite(g)
+        except UnsupportedError:  # the gate's refusal alone; cross_check's own errors propagate
             summary.skipped += 1
             continue
         result = cross_check(g)

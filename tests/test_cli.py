@@ -18,6 +18,7 @@ from edgering import (
     parse_graph6,
     serialize_edge_list,
     serialize_graph6,
+    vset,
 )
 from edgering.cli import main, report_from_dict, report_to_dict
 
@@ -531,6 +532,43 @@ def test_report_from_dict_rejects_shapes_no_classify_prints(field, value):
     shapes = "empty or repeats|not two vertex-disjoint odd cycles|not a positive integer"
     with pytest.raises(ValueError, match=f"{shapes}|vertex (True|2.0|'2') out of range"):
         report_from_dict(payload)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"r1_violations": [{"kind": "fundamental_set", "set": 5}]}, id="set-number"),
+    pytest.param({"r1_violations": [{"kind": "fundamental_set", "set": "12"}]}, id="set-string"),
+    pytest.param({"occ_violation": 5}, id="occ-number"),
+    pytest.param({"occ_violation": [[1, 2, 3], 5]}, id="occ-cycle-number"),
+    pytest.param({"occ_violation": {"1": [1, 2, 3], "2": [4, 5, 6]}}, id="occ-object"),
+    pytest.param({"r1_violations": 3}, id="violations-number"),
+    pytest.param({"r1_violations": [5]}, id="violation-number"),
+    pytest.param({"r1_violations": None}, id="violations-null"),
+    pytest.param(None, id="top-level-array"),
+])
+def test_report_from_dict_refuses_json_of_the_wrong_type(change):
+    # the schema's arrays are JSON arrays and the report and each violation JSON
+    # objects; any other value is a ValueError, never a TypeError of the decoder
+    payload = report_to_dict("x", complete_graph(6), classify(complete_graph(6)))
+    payload = [payload] if change is None else {**payload, **change}
+    with pytest.raises(ValueError, match="not a JSON (array|object)"):
+        report_from_dict(payload)
+
+
+@pytest.mark.parametrize("label", [True, 2.0, "2", 0, 65, 10**8])
+@pytest.mark.parametrize("field", ["regular_vertex", "occ_violation"])
+def test_report_from_dict_refuses_a_label_in_the_words_of_vset(field, label):
+    # vset is the one vertex-label rule, so the decoder refuses a label that is
+    # no label at all with vset's own message, wherever the label stands
+    payload = report_to_dict("x", complete_graph(6), classify(complete_graph(6)))
+    if field == "regular_vertex":
+        payload["r1_violations"] = [{"kind": "regular_vertex", "vertex": label}]
+    else:
+        payload["occ_violation"] = [[label, 2, 3], [4, 5, 6]]
+    with pytest.raises(ValueError) as expected:
+        vset([label])
+    with pytest.raises(ValueError) as raised:
+        report_from_dict(payload)
+    assert str(raised.value) == str(expected.value)
 
 
 BOOL = "is not a JSON bool"

@@ -66,6 +66,21 @@ def test_only_the_cli_branches_on_the_descriptor_kind():
                     found.append(path.name)
     assert "cli.py" in found  # the scan sees the renderers' branches
     assert [name for name in found if name != "cli.py"] == []
+    # and within the CLI only those two renderers: the report decoder reads a
+    # violation's labels off its JSON kind, and JSON types are exact type tests
+    assert _scopes_naming(PACKAGE_DIR / "cli.py", {"isinstance"}) == [
+        "cli.violation_to_dict", "cli._facet_label",
+    ]
+
+
+def test_the_sweep_decides_eligibility_by_the_facet_data_gate():
+    # require_nonbipartite is the one statement of "connected with an odd
+    # cycle"; run_sweep skips a graph by that gate, not by its own floods
+    tree = ast.parse((PACKAGE_DIR / "sweep.py").read_text())
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"is_connected", "is_bipartite"}
+    assert "require_nonbipartite" in names
 
 
 def _scopes_naming(path: Path, names: set[str]) -> list[str]:

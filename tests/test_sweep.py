@@ -14,6 +14,7 @@ from edgering import (
     Graph,
     IntegerLattice,
     SupportForm,
+    UnsupportedError,
     bridge_graph,
     connected_within,
     cross_check,
@@ -71,6 +72,17 @@ def test_run_sweep_checks_only_connected_nonbipartite(monkeypatch):
     summary = run_sweep(labelled_graphs(4))
     assert len(seen) == summary.checked == 19
     assert all(is_connected(g) and not is_bipartite(g) for g in seen)
+
+
+def test_run_sweep_lets_an_unsupported_error_of_cross_check_propagate(monkeypatch):
+    # only the facet-data gate's refusal counts a graph as skipped; the same
+    # error type raised inside cross_check is not a skip
+    def refuse(g):
+        raise UnsupportedError("refused inside cross_check")
+
+    monkeypatch.setattr(edgering.sweep, "cross_check", refuse)
+    with pytest.raises(UnsupportedError, match="inside cross_check"):
+        run_sweep([bridge_graph(2)])
 
 
 def test_run_sweep_small():
