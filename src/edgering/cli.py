@@ -114,6 +114,12 @@ def report_from_dict(dct: dict) -> ClassificationReport:
     violations = tuple(violation_from_dict(v) for v in listed)
     if type(dct["d"]) is not int or dct["d"] < 1:
         raise ValueError(f"vertex count {dct['d']!r} is not a positive integer")
+    Graph(dct["d"], ())  # refuses a d above the vertex bound, in Graph's words
+    pairs = dct["d"] * (dct["d"] - 1) // 2
+    if type(dct["n"]) is not int or not 0 <= dct["n"] <= pairs:
+        raise ValueError(f"edge count {dct['n']!r} is not an integer in 0..{pairs}")
+    if type(dct["input"]) is not str:
+        raise ValueError(f"input {dct['input']!r} is not a JSON string")
     if occ is not None:
         occ = [_json(c, list, "odd cycle") for c in _json(occ, list, "occ_violation")]
     labels = [v for c in occ or () for v in c]

@@ -3,7 +3,7 @@
 Vertices carry 1-based labels, at most 64 of them.  A vertex set is an int
 bitmask in which bit v-1 stands for vertex v, so set arithmetic is integer bit
 twiddling.  One check refuses a loop or an edge end outside 1..d, one a vertex
-set with a bit outside 1..d, and one parity flood finds a component with or
+set with a bit outside 1..d, and one layered flood finds a component with or
 without an odd cycle.  Chordless odd cycles and fundamental sets (facets.py)
 are enumerated in time that scales with the chordless paths and with the
 independent sets connected through shared neighbours; both counts can be
@@ -275,32 +275,13 @@ def _checked_set(g: Graph, s: VertexSet) -> VertexSet:
     return s
 
 
-def _flood(g: Graph, start: VertexSet, within: VertexSet) -> VertexSet:
-    # vertices of `within` reachable from `start`; start must lie inside `within`
-    seen = start
-    frontier = start
-    adj = g.adj
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & within & ~seen
-        seen |= frontier
-    return seen
-
-
 def connected_within(g: Graph, s: VertexSet) -> bool:
     """True iff s is empty or induces a connected subgraph."""
-    if _checked_set(g, s) == 0:
-        return True
-    return _flood(g, s & -s, s) == s
+    return first_component(g, _checked_set(g, s), True)[1] == s
 
 
 def is_connected(g: Graph) -> bool:
-    return _flood(g, 1, g.full) == g.full
+    return first_component(g, g.full, True)[1] == g.full
 
 
 def connected_components(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
@@ -311,7 +292,10 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
     rem = g.full if within is None else _checked_set(g, within)
     comps = []
     while rem:
-        comp = _flood(g, rem & -rem, rem)
+        # the lowest vertex's component; the True flood stops there when it has
+        # an odd cycle, as every component of a facet's rest does, so the
+        # sweep floods each rest once
+        comp = first_component(g, rem, True)[1]
         comps.append(comp)
         rem &= ~comp
     return comps
@@ -326,34 +310,30 @@ def first_component(g: Graph, within: VertexSet, odd_cycle: bool) -> tuple[Verte
     cycle if odd_cycle is true, or without one if it is false, or 0; and the
     first component flooded, that of `within`'s lowest vertex (0 if empty).
 
-    A component has an odd cycle exactly when walks of even and of odd
-    length from one vertex meet; `within` is connected exactly when lowest ==
-    within.  Unchecked: `within` must be a set of g's vertices.
+    Each component is searched breadth first, one layer at a time, and has an
+    odd cycle exactly when an edge joins two vertices of one layer; `within`
+    is connected exactly when lowest == within.  Unchecked: `within` must be a
+    set of g's vertices.
     """
     # unchecked and with a positional flag, as the ESU of facets.py calls this
     # in its search loop, where a keyword-only argument costs time
     adj = g.adj
     lowest = 0
     while within:
-        even = new_even = within & -within
-        odd = new_odd = 0
-        while new_even | new_odd:
-            to_even = to_odd = 0
-            while new_even:
-                low = new_even & -new_even
-                to_odd |= adj[low.bit_length() - 1]
-                new_even ^= low
-            while new_odd:
-                low = new_odd & -new_odd
-                to_even |= adj[low.bit_length() - 1]
-                new_odd ^= low
-            new_even = to_even & within & ~even
-            new_odd = to_odd & within & ~odd
-            even |= new_even
-            odd |= new_odd
-        piece = even | odd
+        piece = layer = within & -within
+        odd = 0
+        while layer:
+            nxt = 0
+            m = layer
+            while m:
+                low = m & -m
+                nxt |= adj[low.bit_length() - 1]
+                m ^= low
+            odd |= nxt & layer
+            layer = nxt & within & ~piece
+            piece |= layer
         lowest = lowest or piece
-        if bool(even & odd) == odd_cycle:
+        if bool(odd) == odd_cycle:
             return piece, lowest
         within &= ~piece
     return 0, lowest
@@ -462,15 +442,17 @@ def odd_spanning_edges(g: Graph) -> tuple[Edge, ...]:
     return tuple(tree + odd)
 
 
-def require_connected(g: Graph) -> None:
-    if not is_connected(g):
+def require_connected(g: Graph) -> bool:
+    """Refuse a disconnected g; otherwise whether g has an odd cycle, from the same flood."""
+    piece, lowest = first_component(g, g.full, True)
+    if lowest != g.full:
         raise UnsupportedError("graph is not connected")
+    return bool(piece)
 
 
 def require_nonbipartite(g: Graph) -> None:
     """Facet data needs g connected with an odd cycle, so that the edge polytope has dim d - 1."""
-    require_connected(g)
-    if is_bipartite(g):
+    if not require_connected(g):
         raise UnsupportedError("graph is bipartite; facet data needs an odd cycle")
 
 

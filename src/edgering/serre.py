@@ -42,7 +42,6 @@ from .graph import (
     Graph,
     VertexSet,
     connected_within,
-    is_bipartite,
     iter_chordless_odd_cycles,
     require_connected,
 )
@@ -87,8 +86,7 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     the only ones that can fail (module docstring); so none is searched
     for when d <= 7.
     """
-    require_connected(g)
-    if is_bipartite(g):
+    if not require_connected(g):
         return (True, [])
     # a failing fundamental set's rest has at least 6 vertices (module docstring)
     walk = chain(regular_vertices(g), iter_fundamental_sets(g, 6))
@@ -116,8 +114,8 @@ class ClassificationReport:
 
 def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
     """Full report for a connected graph: normality, (R1), and witnesses."""
+    bipartite = not require_connected(g)
     ok, violations = satisfies_r1(g, early_exit=early_exit)
-    bipartite = is_bipartite(g)
     occ = None if bipartite else satisfies_odd_cycle_condition(g)
     if occ is None and not ok:
         raise DisagreementError("normal graph failed the (R1) criterion; internal error")

@@ -189,8 +189,8 @@ def independent_set_scan_fundamental_sets(g: Graph) -> list[int]:
     in lexicographic order of the vertex tuples.  Exponential in the
     independence number; the reference the common-neighbour-graph
     enumerator is compared against.  The rest condition is checked on
-    networkx, as brute_fundamental does, not through the package's parity
-    flood first_component.
+    networkx, as brute_fundamental does, not through the package's flood
+    first_component.
     """
     d = g.d
 
@@ -298,7 +298,7 @@ def sparse_random_graphs() -> list[Graph]:
 
 
 def count_rest_floods(monkeypatch) -> list[int]:
-    """The list into which every parity flood that facets.py runs records
+    """The list into which every flood that facets.py runs records
     its vertex set, until monkeypatch is undone."""
     floods: list[int] = []
     original = edgering.facets.first_component

@@ -514,15 +514,26 @@ def test_report_from_dict_rejects_labels_outside_the_graph(field, v):
     pytest.param("fundamental_set", [True], id="set-bool"),
     pytest.param("fundamental_set", [1.0], id="set-float"),
     pytest.param("occ_violation", [[True, 2, 3], [4, 5, 6]], id="occ-bool"),
+    pytest.param("d", 70, id="d-above-bound"),
+    pytest.param("d", 10**9, id="d-huge"),
+    pytest.param("n", "foo", id="n-string"),
+    pytest.param("n", -3, id="n-negative"),
+    pytest.param("n", True, id="n-bool"),
+    pytest.param("n", 15.0, id="n-float"),
+    pytest.param("n", 16, id="n-above-pairs"),
+    pytest.param("input", 5, id="input-number"),
+    pytest.param("input", None, id="input-null"),
 ])
 def test_report_from_dict_rejects_shapes_no_classify_prints(field, value):
     # every number equals a label in 1..d, so only the shape is wrong: d and the
     # labels are JSON integers (true and 2.0 compare equal to 1 and 2), a
     # fundamental set is a nonempty set, and an odd cycle witness is two
-    # vertex-disjoint odd cycles of length at least 3 with distinct vertices
+    # vertex-disjoint odd cycles of length at least 3 with distinct vertices.
+    # d is at most Graph's vertex bound, the edge count n an integer in
+    # 0..d(d-1)/2 (15 here), and input a string, as classify prints them
     payload = report_to_dict("x", complete_graph(6), classify(complete_graph(6)))
-    if field == "d":
-        payload["d"] = value
+    if field in ("d", "n", "input"):
+        payload[field] = value
     elif field == "regular_vertex":
         payload["r1_violations"] = [{"kind": "regular_vertex", "vertex": value}]
     elif field == "fundamental_set":
@@ -530,7 +541,17 @@ def test_report_from_dict_rejects_shapes_no_classify_prints(field, value):
     else:
         payload["occ_violation"] = value
     shapes = "empty or repeats|not two vertex-disjoint odd cycles|not a positive integer"
+    shapes += "|exceeds the 64-vertex bound|not an integer in 0..15|not a JSON string"
     with pytest.raises(ValueError, match=f"{shapes}|vertex (True|2.0|'2') out of range"):
+        report_from_dict(payload)
+
+
+@pytest.mark.parametrize("key", ["d", "n", "input"])
+def test_report_from_dict_needs_each_count_and_the_input(key):
+    # a missing key is a KeyError, as for every other field classify prints
+    payload = report_to_dict("x", complete_graph(4), classify(complete_graph(4)))
+    del payload[key]
+    with pytest.raises(KeyError, match=key):
         report_from_dict(payload)
 
 

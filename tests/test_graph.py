@@ -35,6 +35,7 @@ from edgering import (
     serialize_graph6,
     vset,
 )
+from edgering.graph import require_connected
 from helpers import (
     brute_chordless_odd_cycles,
     graphs,
@@ -363,6 +364,16 @@ def test_is_bipartite():
     assert not is_bipartite(Graph(5, ((1, 2), (1, 3), (2, 3), (4, 5))))
 
 
+def test_require_connected_returns_whether_an_odd_cycle_exists():
+    assert require_connected(cycle_graph(5)) is True
+    assert require_connected(cycle_graph(4)) is False
+    assert require_connected(Graph(1, ())) is False
+    triangle_beside_edge = Graph(5, ((1, 2), (1, 3), (2, 3), (4, 5)))
+    for g in (Graph(2, ()), triangle_beside_edge):
+        with pytest.raises(UnsupportedError, match="not connected"):
+            require_connected(g)
+
+
 @pytest.mark.parametrize("d", range(1, 6))
 def test_is_bipartite_matches_networkx(d):
     # every labelled graph, disconnected ones included
@@ -372,11 +383,13 @@ def test_is_bipartite_matches_networkx(d):
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_every_component_nonbipartite_matches_networkx(d):
-    # the parity flood against its definition, on every vertex subset
+    # the layered flood against its definition, on every vertex subset
     # including the empty one: for each flag it returns the lowest-labelled
     # whole component with that odd-cycle status, or 0 when there is none;
     # so every component is nonbipartite exactly when the False flood gives 0.
-    # Beside it comes the lowest-labelled component, or 0 for the empty set
+    # Beside it comes the lowest-labelled component, or 0 for the empty set.
+    # Every other reader of the flood is checked on the same sets, among them
+    # sets whose lowest component is bipartite and has later components
     rng = random.Random(f"parity-{d}")
     for p in (0.2, 0.35, 0.6):
         g = random_graph(rng, d, p)
@@ -389,6 +402,16 @@ def test_every_component_nonbipartite_matches_networkx(d):
             for odd_cycle in (False, True):
                 want = next((c for c, o in zip(comps, odd) if o == odd_cycle), 0)
                 assert first_component(g, s, odd_cycle) == (want, lowest), (g, s, odd_cycle)
+            assert connected_within(g, s) == (len(comps) <= 1), (g, s)
+            assert connected_components(g, s) == comps, (g, s)
+            if s == g.full:
+                assert is_connected(g) == (len(comps) == 1), g
+                assert is_bipartite(g) == (not any(odd)), g
+                if len(comps) == 1:
+                    assert require_connected(g) is odd[0], g
+                else:
+                    with pytest.raises(UnsupportedError, match="not connected"):
+                        require_connected(g)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,20 @@ def _scopes_naming(path: Path, names: set[str]) -> list[str]:
     return scopes
 
 
+def test_every_connectivity_question_reads_the_one_flood():
+    # first_component answers connectivity and odd cycles alike, and the scope
+    # gates read its pair; is_connected and is_bipartite are kept for library
+    # users, so no program path names them, and no second flood is left
+    scopes = [
+        scope
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+        for scope in _scopes_naming(path, {"is_connected", "is_bipartite", "_flood"})
+    ]
+    assert scopes == []
+    assert "graph.require_connected" in _scopes_naming(PACKAGE_DIR / "graph.py", {"first_component"})
+
+
 def test_only_the_fundamental_set_search_computes_neighborhoods():
     # a facet's sides (T, N) travel with its walk item and its record, so no
     # function recomputes N(T); the search names neighborhood once, for its
