@@ -101,30 +101,28 @@ def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
     and the cost scales with the H-connected independent sets, not with all.
 
     With min_rest, only the sets whose rest V - (T | N(T)) has at least that
-    many vertices are yielded, and a node below the floor is skipped with its
-    whole subtree, since a child's rest is a subset of its parent's.  Every
-    component of a fundamental set's rest has an odd cycle, so a disconnected
-    rest has at least 6 vertices: min_rest=6 keeps every (R1) violation.  As
-    T and N(T) are nonempty, the rest has at most d - 2 vertices, so no
-    fundamental set fails (R1) when d <= 7.
+    many vertices are yielded, and a child below the floor is never pushed, since
+    a child's rest is a subset of its parent's.  Every component of a fundamental
+    set's rest has an odd cycle, so a disconnected rest has at least 6 vertices:
+    min_rest=6 keeps every (R1) violation.  As T and N(T) are nonempty, the rest
+    has at most d - 2 vertices, so no fundamental set fails (R1) when d <= 7.
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
     for r in range(g.d):
-        out = []
         root = 1 << r
+        if (rest := full & ~(root | adj[r])).bit_count() < min_rest:
+            continue
+        out = []
         above = -root << 1
-        # (T, N(T), extension set, T and its H-neighbours, bad); T's smallest
-        # vertex is r, and a child adds w with its fresh H-neighbours above r.
-        # bad is 0 or a union of bipartite components of the rest V - T - N(T);
-        # a child's rest loses w and N(w), and what bad keeps is still such a union
-        stack = [(root, adj[r], share[r] & above & ~adj[r], root | share[r], 0)]
+        # (T, N(T), extension set, T and its H-neighbours, rest V - T - N(T), bad);
+        # T's smallest vertex is r, and a child adds w with its fresh H-neighbours
+        # above r.  bad is 0 or a union of bipartite components of the rest; a
+        # child's rest loses w and N(w), and what bad keeps is still such a union
+        stack = [(root, adj[r], share[r] & above & rest, root | share[r], rest, 0)]
         while stack:
-            t, nb, ext, reached, bad = stack.pop()
-            if min_rest and (full & ~(t | nb)).bit_count() < min_rest:
-                continue
+            t, nb, ext, reached, rest, bad = stack.pop()
             if not bad:
-                rest = full & ~(t | nb)
                 bad, lowest = first_component(g, rest, False)
                 if not bad:
                     out.append((t, nb, lowest == rest))
@@ -132,13 +130,15 @@ def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
                 w = ext & -ext
                 ext ^= w
                 i = w.bit_length() - 1
-                child_nb = nb | adj[i]
-                fresh = share[i] & above & ~reached
-                stack.append((t | w, child_nb, (ext | fresh) & ~child_nb, reached | share[i],
-                              bad & ~(w | adj[i])))
-        # every sorted tuple here starts with r, so each root's sets come out
-        # before the next root's are searched
-        yield from sorted(out, key=lambda e: members(e[0]))
+                child_rest = rest & ~(w | adj[i])
+                if child_rest.bit_count() >= min_rest:
+                    fresh = share[i] & above & ~reached
+                    stack.append((t | w, nb | adj[i], (ext | fresh) & child_rest,
+                                  reached | share[i], child_rest, bad & child_rest))
+        # each root's sorted tuples start with r, so come before the next root's
+        if len(out) > 1:
+            out.sort(key=lambda e: members(e[0]))
+        yield from out
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ facet_connectivity_holds tests one facet on its own, given its sides (T, N).
 A fundamental set fails only when its rest has six or more vertices.  Every component of a
 fundamental set's rest has an odd cycle, so it has at least three vertices,
 and a disconnected rest has two of them.  A child of the fundamental-set
-search has a rest inside its parent's, so satisfies_r1 skips every subtree
-whose rest has fewer than six vertices.  In particular no graph with
+search has a rest inside its parent's, so satisfies_r1 pushes no child whose
+rest has fewer than six vertices, nor any node of its subtree.  In particular no graph with
 d <= 7 has a failing fundamental set: T and N(T) are nonempty, so its rest
 has at most d - 2 <= 5 vertices, and only regular vertices can fail there.
 

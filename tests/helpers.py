@@ -192,6 +192,22 @@ def independent_set_scan_fundamental_sets(g: Graph) -> list[int]:
     networkx, as brute_fundamental does, not through the package's flood
     first_component.
     """
+    h = nx_graph(g)
+    out = []
+    for t in search_nodes(g):
+        nb = neighborhood(g, t)
+        rest = h.subgraph(members(g.full & ~(t | nb)))
+        if all(
+            not nx.bipartite.is_bipartite(rest.subgraph(c)) for c in nx.connected_components(rest)
+        ):
+            out.append(t)
+    return out
+
+
+def search_nodes(g: Graph) -> list[int]:
+    """The nodes of the unfloored fundamental-set search, by testing every
+    independent set: the nonempty independent sets T whose T-to-N(T)
+    bipartite part is connected, in lexicographic order of the vertex tuples."""
     d = g.d
 
     def extend(mask: int, start: int):
@@ -202,18 +218,7 @@ def independent_set_scan_fundamental_sets(g: Graph) -> list[int]:
             yield sub
             yield from extend(sub, v + 1)
 
-    h = nx_graph(g)
-    out = []
-    for t in extend(0, 1):
-        nb = neighborhood(g, t)
-        if not _bipartite_part_connected(g, t, nb):
-            continue
-        rest = h.subgraph(members(g.full & ~(t | nb)))
-        if all(
-            not nx.bipartite.is_bipartite(rest.subgraph(c)) for c in nx.connected_components(rest)
-        ):
-            out.append(t)
-    return out
+    return [t for t in extend(0, 1) if _bipartite_part_connected(g, t, neighborhood(g, t))]
 
 
 def _bipartite_part_connected(g: Graph, t: int, nb: int) -> bool:

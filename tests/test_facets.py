@@ -48,6 +48,7 @@ from helpers import (
     independent_set_scan_fundamental_sets,
     random_connected_nonbipartite,
     random_graph,
+    search_nodes,
     sparse_random_graphs,
 )
 
@@ -229,7 +230,8 @@ def esu_work(monkeypatch, g: Graph, min_rest: int = 0) -> tuple[int, int]:
     floods = count_rest_floods(monkeypatch)
     code = iter_fundamental_sets.__code__
     lines, first = inspect.getsourcelines(iter_fundamental_sets)
-    pop_line = first + next(k for k, line in enumerate(lines) if "stack.pop()" in line)
+    pop_line = next((first + k for k, line in enumerate(lines) if "stack.pop()" in line), None)
+    assert pop_line is not None, "iter_fundamental_sets has no stack.pop() line to count nodes on"
     nodes = 0
 
     def local(frame, event, arg):
@@ -509,11 +511,16 @@ def rest_size(g: Graph, t: int, nb: int) -> int:
 
 
 def floor_targets():
-    # walk_targets, the bridge goldens, bridge_graph(1..10) and sparse G(d, 0.15)
+    # walk_targets, the bridge goldens, bridge_graph(1..10), sparse G(d, 0.15)
+    # and two dense G(d, 0.3) draws for each d = 16..20, where the floor drops
+    # most children of a node
     yield from walk_targets()
     yield from parse_graph6((DATA_DIR / "bridge_k7_10.g6").read_text())
     yield from (bridge_graph(k) for k in range(1, 11))
     yield from sparse_random_graphs()
+    for d in range(16, 21):
+        for i in range(2):
+            yield random_connected_nonbipartite(random.Random(f"dense-{d}-{i}"), d, 0.3)
 
 
 def test_the_floor_lists_the_full_walks_sets_with_large_rests():
@@ -549,11 +556,15 @@ def test_the_floor_filters_the_full_walk_in_order(g, min_rest):
     assert list(iter_fundamental_sets(g, min_rest)) == large
 
 
-@pytest.mark.parametrize("k, full, floored", [(6, 574, 256), (8, 2302, 1500), (10, 9214, 7444)])
-def test_the_floor_skips_whole_subtrees(monkeypatch, k, full, floored):
-    # rests shrink down the search, so past the roots the floored search pops
-    # only the children of nodes whose rest reaches the floor; a floor that
-    # filtered the output alone would pop all 9 * 2^k - 2 nodes
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_the_floor_skips_whole_subtrees(monkeypatch, k):
+    # a child below the floor is never pushed, and rests shrink down the
+    # search, so the floored search pops exactly the unfloored search's nodes
+    # whose rest reaches the floor; a floor that filtered the output alone
+    # would pop all 9 * 2^k - 2 nodes, and one tested after the pop would pop
+    # the children of every node that reaches it
     g = bridge_graph(k)
-    assert esu_work(monkeypatch, g)[1] == full == 9 * 2**k - 2
-    assert esu_work(monkeypatch, g, 6)[1] == floored
+    nodes = search_nodes(g)
+    assert esu_work(monkeypatch, g)[1] == len(nodes) == 9 * 2**k - 2
+    reached = [t for t in nodes if rest_size(g, t, neighborhood(g, t)) >= 6]
+    assert esu_work(monkeypatch, g, 6)[1] == len(reached) < len(nodes)
