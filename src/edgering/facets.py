@@ -99,6 +99,10 @@ def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
     T is connected in the graph H where two vertices share a neighbour.  So
     T grows along H by the ESU enumeration (Wernicke, IEEE/ACM TCBB 2006),
     and the cost scales with the H-connected independent sets, not with all.
+    A child whose rest keeps a bipartite piece of its parent's rest, and which
+    has nothing to extend by, is neither fundamental nor a parent, so it is
+    never pushed: on bridge_graph(k) that leaves 9 * 2^(k-1) + 11 of the
+    9 * 2^k - 2 H-connected independent sets.
 
     With min_rest, only the sets whose rest V - (T | N(T)) has at least that
     many vertices are yielded, and a child below the floor is never pushed, since
@@ -109,32 +113,36 @@ def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
+    closed = [a | 1 << i for i, a in enumerate(adj)]
     for r in range(g.d):
         root = 1 << r
-        if (rest := full & ~(root | adj[r])).bit_count() < min_rest:
+        if (rest := full & ~closed[r]).bit_count() < min_rest:
             continue
         out = []
         above = -root << 1
-        # (T, N(T), extension set, T and its H-neighbours, rest V - T - N(T), bad);
-        # T's smallest vertex is r, and a child adds w with its fresh H-neighbours
-        # above r.  bad is 0 or a union of bipartite components of the rest; a
-        # child's rest loses w and N(w), and what bad keeps is still such a union
-        stack = [(root, adj[r], share[r] & above & rest, root | share[r], rest, 0)]
+        # (T, extension set, T and its H-neighbours, rest V - T - N(T), bad); T is
+        # independent, so N(T) is V - T - rest.  T's smallest vertex is r, and a
+        # child adds w with its fresh H-neighbours above r.  bad is 0 or a union of
+        # bipartite components of the rest; a child's rest loses w and N(w), and
+        # what bad keeps is still such a union, so a child with a bad piece and no
+        # extension is neither fundamental nor a parent, and is never pushed
+        stack = [(root, share[r] & above & rest, root | share[r], rest, 0)]
         while stack:
-            t, nb, ext, reached, rest, bad = stack.pop()
+            t, ext, reached, rest, bad = stack.pop()
             if not bad:
                 bad, lowest = first_component(g, rest, False)
                 if not bad:
-                    out.append((t, nb, lowest == rest))
+                    out.append((t, full ^ t ^ rest, lowest == rest))
             while ext:
                 w = ext & -ext
                 ext ^= w
                 i = w.bit_length() - 1
-                child_rest = rest & ~(w | adj[i])
+                child_rest = rest & ~closed[i]
                 if child_rest.bit_count() >= min_rest:
-                    fresh = share[i] & above & ~reached
-                    stack.append((t | w, nb | adj[i], (ext | fresh) & child_rest,
-                                  reached | share[i], child_rest, bad & child_rest))
+                    child_ext = (ext | share[i] & above & ~reached) & child_rest
+                    child_bad = bad & child_rest
+                    if child_ext or not child_bad:
+                        stack.append((t | w, child_ext, reached | share[i], child_rest, child_bad))
         # each root's sorted tuples start with r, so come before the next root's
         if len(out) > 1:
             out.sort(key=lambda e: members(e[0]))

@@ -64,7 +64,7 @@ def monoid_group(g: Graph) -> IntegerLattice:
     here and a mismatch raises, since condition 2's closed-form kernel relies on it.
     """
     require_nonbipartite(g)
-    lat = IntegerLattice(g.d, _edge_vectors(g.d, g.edges))
+    lat = IntegerLattice(g.d, _edge_vectors(g.d, g.edges)[::-1])
     if not _has_closed_form(lat, 0, 2):
         raise DisagreementError("edge vectors did not span the even-sum lattice; internal error")
     return lat
@@ -76,12 +76,15 @@ def verify_even_sum_basis(g: Graph) -> bool:
     With sigma(x) the sum of x over even-depth minus odd-depth vertices, the tree's
     d - 1 edge vectors span ker sigma and the odd edge has sigma = +-2: index 2, a basis.
     """
-    return _has_closed_form(IntegerLattice(g.d, _edge_vectors(g.d, odd_spanning_edges(g))), 0, 2)
+    tree = _edge_vectors(g.d, odd_spanning_edges(g))
+    return _has_closed_form(IntegerLattice(g.d, tree[::-1]), 0, 2)
 
 
 def _edge_vectors(d: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
     # the one edge-vector builder, e_i + e_j per edge, unchecked: the edges are a Graph's
-    # own (g.edges or odd_spanning_edges), which graph._edge checked at construction
+    # own (g.edges or odd_spanning_edges), which graph._edge checked at construction.
+    # Each lattice takes them last edge first, which takes fewer row moves than edge
+    # order; the pivots and pivot product, all that is read, do not depend on the order
     out = []
     for i, j in edges:
         v = [0] * d
@@ -138,7 +141,7 @@ def facet_conditions(g: Graph, walk: Sequence[Facet]) -> list[FacetCheck]:
     out = []
     for (t, nb, _), (f, form) in zip(walk, facet_forms(g, walk), strict=True):
         values = _edge_numerators(g, form)
-        zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0])
+        zero = IntegerLattice(g.d, [vec for vec, v in zip(vectors, values) if v == 0][::-1])
         # K's product from the sides, not the form's denominator: the sum is even
         # on the rest, a condition exactly when R is nonempty
         match = _has_closed_form(zero, t | nb, 2 if (t | nb) != g.full else 1)

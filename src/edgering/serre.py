@@ -14,6 +14,8 @@ search has a rest inside its parent's, so satisfies_r1 pushes no child whose
 rest has fewer than six vertices, nor any node of its subtree.  In particular no graph with
 d <= 7 has a failing fundamental set: T and N(T) are nonempty, so its rest
 has at most d - 2 <= 5 vertices, and only regular vertices can fail there.
+With or without the floor, the search pushes no child that keeps a bipartite
+piece of its parent's rest and cannot grow: it is neither fundamental nor a parent.
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite

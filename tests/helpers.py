@@ -20,6 +20,7 @@ from edgering import (
     Graph,
     IntegerLattice,
     connected_within,
+    first_component,
     members,
     neighborhood,
     vset,
@@ -219,6 +220,47 @@ def search_nodes(g: Graph) -> list[int]:
             yield from extend(sub, v + 1)
 
     return [t for t in extend(0, 1) if _bipartite_part_connected(g, t, neighborhood(g, t))]
+
+
+def reference_fundamental_search(g: Graph, min_rest: int = 0) -> tuple[list, list[tuple[int, bool]]]:
+    """The fundamental-set search as it stood before it cut dead children:
+    (its items, its nodes in pop order as (T, dead)).
+
+    A frame carries N(T), and every child above the floor is pushed.  A node
+    is dead when it inherits a bipartite rest piece and has no extension: it
+    is not fundamental and has no children.  iter_fundamental_sets pushes no
+    dead child, so it must yield these items and pop the nodes that are not
+    dead; the node counts it is pinned to are read off this search.
+    """
+    adj, full = g.adj, g.full
+    share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
+    items: list = []
+    nodes: list[tuple[int, bool]] = []
+    for r in range(g.d):
+        root = 1 << r
+        if (rest := full & ~(root | adj[r])).bit_count() < min_rest:
+            continue
+        out = []
+        above = -root << 1
+        stack = [(root, adj[r], share[r] & above & rest, root | share[r], rest, 0)]
+        while stack:
+            t, nb, ext, reached, rest, bad = stack.pop()
+            nodes.append((t, bool(bad) and not ext))
+            if not bad:
+                bad, lowest = first_component(g, rest, False)
+                if not bad:
+                    out.append((t, nb, lowest == rest))
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                i = w.bit_length() - 1
+                child_rest = rest & ~(w | adj[i])
+                if child_rest.bit_count() >= min_rest:
+                    fresh = share[i] & above & ~reached
+                    stack.append((t | w, nb | adj[i], (ext | fresh) & child_rest,
+                                  reached | share[i], child_rest, bad & child_rest))
+        items += sorted(out, key=lambda e: members(e[0]))
+    return items, nodes
 
 
 def _bipartite_part_connected(g: Graph, t: int, nb: int) -> bool:

@@ -48,6 +48,7 @@ from helpers import (
     independent_set_scan_fundamental_sets,
     random_connected_nonbipartite,
     random_graph,
+    reference_fundamental_search,
     search_nodes,
     sparse_random_graphs,
 )
@@ -251,13 +252,29 @@ def esu_work(monkeypatch, g: Graph, min_rest: int = 0) -> tuple[int, int]:
 
 @pytest.mark.parametrize("k", range(6, 15))
 def test_bridge_enumeration_floods_linearly_and_visits_every_node(monkeypatch, k):
-    # the middle vertices of bridge_graph(k) give 9 * 2^k - 2 search nodes; the
-    # bipartite rest piece a node hands to its children decides nearly all
-    # of them, so the floods grow linearly.  A lost piece raises the flood
-    # count, and a cut subtree lowers the node count
-    floods, nodes = esu_work(monkeypatch, bridge_graph(k))
+    # the middle vertices of bridge_graph(k) give 9 * 2^k - 2 nodes of the
+    # reference search, of which 9 * 2^(k-1) - 13 are dead and never pushed;
+    # the bipartite rest piece a node hands to its children decides nearly all
+    # of the others, so the floods grow linearly.  A lost piece raises the
+    # flood count, and a cut subtree lowers the node count
+    g = bridge_graph(k)
+    floods, pops = esu_work(monkeypatch, g)
+    _, nodes = reference_fundamental_search(g)
+    assert len(nodes) == 9 * 2**k - 2
     assert floods == 13 * k + 3
-    assert nodes == 9 * 2**k - 2 >= 2**k
+    assert pops == sum(not dead for _, dead in nodes) == 9 * 2 ** (k - 1) + 11 >= 2**k
+
+
+@given(connected_nonbipartite_graphs(max_d=12), st.sampled_from((0, 6)))
+@settings(max_examples=60, deadline=None)
+def test_the_search_pops_the_reference_nodes_that_are_not_dead(g, min_rest):
+    # a dead child is neither fundamental nor a parent, so leaving it off the
+    # stack changes no item and drops exactly that one node
+    items, nodes = reference_fundamental_search(g, min_rest)
+    with pytest.MonkeyPatch.context() as mp:
+        pops = esu_work(mp, g, min_rest)[1]
+    assert list(iter_fundamental_sets(g, min_rest)) == items
+    assert pops == sum(not dead for _, dead in nodes)
 
 
 def test_fundamental_enumeration_is_a_generator_function():
@@ -525,12 +542,14 @@ def floor_targets():
 
 def test_the_floor_lists_the_full_walks_sets_with_large_rests():
     # the floored search yields the full walk's items whose rest has at least
-    # 6 vertices, item for item and in order
+    # 6 vertices, item for item and in order, and both are the reference's
     kept = cut = 0
     for g in floor_targets():
         full = list(iter_fundamental_sets(g))
         large = [f for f in full if rest_size(g, f[0], f[1]) >= 6]
         assert list(iter_fundamental_sets(g, 6)) == large, g
+        assert reference_fundamental_search(g)[0] == full, g
+        assert reference_fundamental_search(g, 6)[0] == large, g
         kept += len(large)
         cut += len(full) - len(large)
     assert kept and cut
@@ -556,15 +575,22 @@ def test_the_floor_filters_the_full_walk_in_order(g, min_rest):
     assert list(iter_fundamental_sets(g, min_rest)) == large
 
 
-@pytest.mark.parametrize("k", [6, 8, 10])
+# pops of iter_fundamental_sets(bridge_graph(k), 6), read off the reference search
+FLOORED_POPS = {6: 99, 7: 263, 8: 643, 9: 1507, 10: 3403}
+
+
+@pytest.mark.parametrize("k", range(6, 11))
 def test_the_floor_skips_whole_subtrees(monkeypatch, k):
     # a child below the floor is never pushed, and rests shrink down the
-    # search, so the floored search pops exactly the unfloored search's nodes
-    # whose rest reaches the floor; a floor that filtered the output alone
-    # would pop all 9 * 2^k - 2 nodes, and one tested after the pop would pop
-    # the children of every node that reaches it
+    # search, so the floored reference search pops exactly the unfloored
+    # search's nodes whose rest reaches the floor, and the search those that
+    # are not dead; a floor that filtered the output alone would pop all
+    # 9 * 2^(k-1) + 11 live nodes
     g = bridge_graph(k)
-    nodes = search_nodes(g)
-    assert esu_work(monkeypatch, g)[1] == len(nodes) == 9 * 2**k - 2
+    nodes = sorted(search_nodes(g))
+    assert sorted(t for t, _ in reference_fundamental_search(g)[1]) == nodes
+    _, floored = reference_fundamental_search(g, 6)
     reached = [t for t in nodes if rest_size(g, t, neighborhood(g, t)) >= 6]
-    assert esu_work(monkeypatch, g, 6)[1] == len(reached) < len(nodes)
+    assert sorted(t for t, _ in floored) == reached
+    pops = esu_work(monkeypatch, g, 6)[1]
+    assert pops == sum(not dead for _, dead in floored) == FLOORED_POPS[k] < 9 * 2 ** (k - 1) + 11

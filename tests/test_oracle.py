@@ -132,6 +132,26 @@ def test_verify_even_sum_basis_rejects_bad_edge_sets(monkeypatch):
         assert cross_check(g).failures == ("basis-construction",)
 
 
+def test_edge_order_does_not_change_an_oracle_lattice():
+    # the oracle inserts its edge vectors last edge first; the canonical basis,
+    # pivots and pivot product of each lattice it builds, from the edges, the
+    # certificate's tree or a facet's zero set, must not depend on the order
+    lattices = 0
+    for name in ("conn7.g6", "bridge_k7_10.g6", "gnp_d18_20_22.g6"):
+        for g in parse_graph6((DATA_DIR / name).read_text()):
+            vectors = edgering.oracle._edge_vectors(g.d, g.edges)
+            sets = [vectors, edgering.oracle._edge_vectors(g.d, odd_spanning_edges(g))]
+            for check in facet_conditions(g, facet_walk(g)):
+                sets.append([vec for vec, v in zip(vectors, check.values) if v == 0])
+            for vecs in sets:
+                forward, backward = IntegerLattice(g.d, vecs), IntegerLattice(g.d, vecs[::-1])
+                assert canonical_basis(forward) == canonical_basis(backward), g
+                assert forward.pivots == backward.pivots, g
+                assert forward.pivot_product() == backward.pivot_product(), g
+                lattices += 1
+    assert lattices > 350 * 3
+
+
 # ---------------------------------------------------------------------------
 # the two facet conditions
 
