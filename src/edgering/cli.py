@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .facets import FacetDescriptor, Fundamental, RegularVertex, SupportForm
+from .facets import FacetDescriptor, Fundamental, RegularVertex
 from .facets import facet_forms, facet_walk
 from .graph import (
     DisagreementError,
@@ -84,6 +84,7 @@ def _json(value, kind: type, what: str):
 
 def violation_from_dict(dct: dict) -> FacetDescriptor:
     if _json(dct, dict, "violation")["kind"] == "regular_vertex":
+        vset([dct["vertex"]])  # the one label rule, as for a fundamental set
         return RegularVertex(dct["vertex"])
     if dct["kind"] == "fundamental_set":
         mask = vset(_json(dct["set"], list, "fundamental set"))  # 0 exactly for an empty set
@@ -112,9 +113,7 @@ def report_from_dict(dct: dict) -> ClassificationReport:
     occ = _json(dct, dict, "report")["occ_violation"]
     listed = _json(dct["r1_violations"], list, "r1_violations")
     violations = tuple(violation_from_dict(v) for v in listed)
-    if type(dct["d"]) is not int or dct["d"] < 1:
-        raise ValueError(f"vertex count {dct['d']!r} is not a positive integer")
-    Graph(dct["d"], ())  # refuses a d above the vertex bound, in Graph's words
+    Graph(dct["d"], ())  # refuses a d that is no vertex count, in Graph's words
     pairs = dct["d"] * (dct["d"] - 1) // 2
     if type(dct["n"]) is not int or not 0 <= dct["n"] <= pairs:
         raise ValueError(f"edge count {dct['n']!r} is not an integer in 0..{pairs}")
@@ -135,6 +134,8 @@ def report_from_dict(dct: dict) -> ClassificationReport:
     report = ClassificationReport(dct["bipartite"], dct["r1"], violations, occ)
     if type(report.bipartite) is not bool or type(report.r1) is not bool:
         raise ValueError(f"bipartite {report.bipartite!r} or r1 {report.r1!r} is not a JSON bool")
+    if report.normal and not report.r1:  # classify raises DisagreementError on this state
+        raise ValueError("a normal graph's report satisfies (R1)")
     if report.bipartite and (violations or occ is not None):
         raise ValueError("a bipartite graph's report has no violation and no odd cycle witness")
     if dct["normal"] is not report.normal or dct["notes"] != report.notes:  # 0 == False
@@ -143,7 +144,7 @@ def report_from_dict(dct: dict) -> ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# text rendering
+# text rendering: each report is read off its JSON record
 
 def _bool(b: bool) -> str:
     return "true" if b else "false"
@@ -153,40 +154,59 @@ def _cycle_str(c: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in c) + ")"
 
 
-def _facet_label(f: FacetDescriptor) -> str:
-    if isinstance(f, RegularVertex):
-        return f"regular vertex {f.vertex}"
-    return "fundamental set {%s}" % ",".join(str(v) for v in f.vertices)
+def _facet_label(v: dict) -> str:
+    if v["kind"] == "regular_vertex":
+        return f"regular vertex {v['vertex']}"
+    return "fundamental set {%s}" % ",".join(str(x) for x in v["set"])
 
 
-def _form_str(form: SupportForm) -> str:
-    body = "".join(f"{'+' if c > 0 else '-'}x{i}" for i, c in enumerate(form.coeffs, start=1) if c)
-    if form.denom == 2:
-        return f"({body})/2"
-    return body
+def _form_str(form: dict) -> str:
+    body = "".join(f"{'+' if c > 0 else '-'}x{i}" for i, c in enumerate(form["coeffs"], start=1) if c)
+    return f"({body})/2" if form["denom"] == 2 else body
 
 
-def _render_classification(input_id: str, g: Graph, report: ClassificationReport) -> str:
+def _render_classification(rec: dict) -> str:
     lines = [
-        f"input: {input_id}",
-        f"vertices: {g.d}",
-        f"edges: {g.n}",
-        f"bipartite: {_bool(report.bipartite)}",
-        f"normal: {_bool(report.normal)}",
+        f"input: {rec['input']}",
+        f"vertices: {rec['d']}",
+        f"edges: {rec['n']}",
+        f"bipartite: {_bool(rec['bipartite'])}",
+        f"normal: {_bool(rec['normal'])}",
     ]
-    if report.occ_violation is not None:
-        a, b = report.occ_violation
+    if rec["occ_violation"] is not None:
+        a, b = rec["occ_violation"]
         lines.append(f"odd cycle condition: fails at {_cycle_str(a)} x {_cycle_str(b)}")
     else:
         lines.append("odd cycle condition: holds")
-    lines.append(f"R1: {_bool(report.r1)}")
-    if report.r1_violations:
+    lines.append(f"R1: {_bool(rec['r1'])}")
+    if rec["r1_violations"]:
         lines.append("R1 violations:")
-        lines += [f"  {_facet_label(f)}" for f in report.r1_violations]
+        lines += [f"  {_facet_label(v)}" for v in rec["r1_violations"]]
     else:
         lines.append("R1 violations: none")
-    if report.notes:
-        lines.append(f"notes: {report.notes}")
+    if rec["notes"]:
+        lines.append(f"notes: {rec['notes']}")
+    return "\n".join(lines)
+
+
+def _render_facets(rec: dict) -> str:
+    lines = [f"input: {rec['input']}", f"facets: {len(rec['facets'])}"]
+    lines += [f"  {_facet_label(f)}: {_form_str(f['form'])} >= 0" for f in rec["facets"]]
+    return "\n".join(lines)
+
+
+def _render_oracle(rec: dict) -> str:
+    lines = [f"input: {rec['input']}"]
+    lines += [
+        f"  {_facet_label(f)}: unit-value {'pass' if f['unit_value'] else 'FAIL'}, "
+        f"lattice-match {'pass' if f['lattice_match'] else 'FAIL'}"
+        for f in rec["facets"]
+    ]
+    lines += [
+        f"R1 (lattice): {_bool(rec['r1_lattice'])}",
+        f"R1 (connectivity): {_bool(rec['r1_connectivity'])}",
+        f"agreement: {'ok' if rec['agreement'] else 'MISMATCH'}",
+    ]
     return "\n".join(lines)
 
 
@@ -194,36 +214,22 @@ def _render_classification(input_id: str, g: Graph, report: ClassificationReport
 # subcommands
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    first = True
-    for input_id, g in _load_graphs(args.input, args.format):
-        report = classify(g, early_exit=args.early_exit)
-        if args.json:
-            print(json.dumps(report_to_dict(input_id, g, report), sort_keys=True))
-        else:
-            if not first:
-                print()
-            print(_render_classification(input_id, g, report))
-        first = False
+    for k, (input_id, g) in enumerate(_load_graphs(args.input, args.format)):
+        rec = report_to_dict(input_id, g, classify(g, early_exit=args.early_exit))
+        if k and not args.json:
+            print()  # a blank line between text reports
+        print(json.dumps(rec, sort_keys=True) if args.json else _render_classification(rec))
     return EXIT_OK
 
 
 def cmd_facets(args: argparse.Namespace) -> int:
     for input_id, g in _load_graphs(args.input, args.format):
-        forms = facet_forms(g, facet_walk(g))
-        if args.json:
-            entries = [
-                dict(violation_to_dict(f), form={"coeffs": list(form.coeffs), "denom": form.denom})
-                for f, form in forms
-            ]
-            print(json.dumps(
-                {"input": input_id, "d": g.d, "n": g.n, "facets": entries},
-                sort_keys=True,
-            ))
-        else:
-            print(f"input: {input_id}")
-            print(f"facets: {len(forms)}")
-            for f, form in forms:
-                print(f"  {_facet_label(f)}: {_form_str(form)} >= 0")
+        entries = [
+            dict(violation_to_dict(f), form={"coeffs": list(form.coeffs), "denom": form.denom})
+            for f, form in facet_forms(g, facet_walk(g))
+        ]
+        rec = {"input": input_id, "d": g.d, "n": g.n, "facets": entries}
+        print(json.dumps(rec, sort_keys=True) if args.json else _render_facets(rec))
     return EXIT_OK
 
 
@@ -234,33 +240,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         checks = facet_conditions(g, walk)
         monoid_group(g)  # certifies the group that condition 2 reads in closed form
         oracle_violations = failing_facets(checks)
-        violations = list(r1_violations(walk))  # what classify reads
-        agree = violations == oracle_violations
-        if args.json:
-            print(json.dumps({
-                "input": input_id,
-                "d": g.d,
-                "n": g.n,
-                "facets": [
-                    dict(violation_to_dict(c.facet), unit_value=c.unit, lattice_match=c.match)
-                    for c in checks
-                ],
-                "r1_lattice": not oracle_violations,
-                "r1_connectivity": not violations,
-                "agreement": agree,
-            }, sort_keys=True))
-        else:
-            print(f"input: {input_id}")
-            for c in checks:
-                print(
-                    f"  {_facet_label(c.facet)}: unit-value "
-                    f"{'pass' if c.unit else 'FAIL'}, lattice-match "
-                    f"{'pass' if c.match else 'FAIL'}"
-                )
-            print(f"R1 (lattice): {_bool(not oracle_violations)}")
-            print(f"R1 (connectivity): {_bool(not violations)}")
-            print(f"agreement: {'ok' if agree else 'MISMATCH'}")
-        if not agree:
+        violations = list(r1_violations(walk))  # the walk's own flags
+        rec = {
+            "input": input_id,
+            "d": g.d,
+            "n": g.n,
+            "facets": [
+                dict(violation_to_dict(c.facet), unit_value=c.unit, lattice_match=c.match)
+                for c in checks
+            ],
+            "r1_lattice": not oracle_violations,
+            "r1_connectivity": not violations,
+            "agreement": violations == oracle_violations,
+        }
+        print(json.dumps(rec, sort_keys=True) if args.json else _render_oracle(rec))
+        if not rec["agreement"]:
             print(f"error: criteria disagree on {input_id}", file=sys.stderr)
             status = EXIT_DISAGREEMENT
     return status

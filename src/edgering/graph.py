@@ -79,7 +79,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         if type(self.d) is not int or self.d < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.d!r}")
+            raise ValueError(f"vertex count {self.d!r} is not a positive integer")
         if self.d > MAX_VERTICES:
             raise UnsupportedError(f"vertex count {self.d} exceeds the {MAX_VERTICES}-vertex bound")
         normalized = sorted([_edge(i, j, self.d) for i, j in self.edges])

@@ -20,7 +20,7 @@ from edgering import (
     serialize_graph6,
     vset,
 )
-from edgering.cli import main, report_from_dict, report_to_dict
+from edgering.cli import main, report_from_dict, report_to_dict, violation_from_dict
 
 from conftest import DATA_DIR
 
@@ -240,6 +240,16 @@ def test_disconnected_exits_3(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "classify", str(path))
     assert code == 3
     assert "not connected" in stderr
+
+
+def test_a_graph_refused_after_a_report_leaves_no_separator(tmp_path, capsys):
+    # a text report and the blank line before it are printed once the graph is
+    # classified, so the refused second graph adds nothing to stdout
+    path = tmp_path / "mixed.g6"
+    path.write_text(f"{serialize_graph6(bridge_graph(1))}\n{serialize_graph6(Graph(4, ((1, 2), (3, 4))))}\n")
+    code, stdout, stderr = run_cli(capsys, "classify", str(path))
+    assert code == 3 and "not connected" in stderr
+    assert stdout.startswith(f"input: {path}#1\n") and stdout.endswith("R1 violations:\n  regular vertex 7\n")
 
 
 def test_too_many_vertices_exits_3(tmp_path, capsys):
@@ -592,9 +602,22 @@ def test_report_from_dict_refuses_a_label_in_the_words_of_vset(field, label):
     assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("label", [True, 2.0, "2", 0, 65, 10**8])
+@pytest.mark.parametrize("kind, key", [("regular_vertex", "vertex"), ("fundamental_set", "set")])
+def test_violation_from_dict_refuses_a_label_in_the_words_of_vset(kind, key, label):
+    # a regular vertex's label meets the same rule as a fundamental set's, in
+    # the violation decoder itself and not only in the report around it
+    with pytest.raises(ValueError) as expected:
+        vset([label])
+    with pytest.raises(ValueError) as raised:
+        violation_from_dict({"kind": kind, key: label if kind == "regular_vertex" else [label]})
+    assert str(raised.value) == str(expected.value)
+
+
 BOOL = "is not a JSON bool"
 READ_OFF = "contradicts witnesses"
 NO_WITNESS = "a bipartite graph's report has no violation and no odd cycle witness"
+NORMAL_R1 = "a normal graph's report satisfies (R1)"
 
 
 @pytest.mark.parametrize("g, change, pattern", [
@@ -615,11 +638,14 @@ NO_WITNESS = "a bipartite graph's report has no violation and no odd cycle witne
                  {"occ_violation": [[1, 2, 3], [4, 5, 6]], "normal": False,
                   "notes": "satisfies (R1); normal iff Cohen-Macaulay"}, NO_WITNESS,
                  id="bipartite-occ-pair"),
+    pytest.param(complete_graph(6), {"r1": False}, NORMAL_R1, id="normal-without-r1"),
+    pytest.param(complete_bipartite_graph(2, 3), {"r1": False}, NORMAL_R1, id="bipartite-without-r1"),
 ])
 def test_report_from_dict_refuses_flags_the_witnesses_contradict(g, change, pattern):
     # normal and notes are read off the witnesses, so JSON that states others
     # is refused ("normal": 0 too, though 0 == False); bipartite and r1 are
-    # JSON bools, and a bipartite graph's report holds no witness.  Each base
+    # JSON bools, a bipartite graph's report holds no witness, and a normal
+    # graph's report satisfies (R1), as classify guarantees.  Each base
     # report decodes as it is, and each change alone is well-formed
     payload = report_to_dict("x", g, classify(g))
     assert report_from_dict(payload) == classify(g)

@@ -54,7 +54,7 @@ def test_no_except_clause_catches_broad_errors():
 def test_only_the_cli_branches_on_the_descriptor_kind():
     # facet_walk(g) alone says what a facet is, and every check reads a facet's
     # sides (T, N) off its walk item or its FacetCheck record; only the CLI's
-    # renderers tell the kinds apart
+    # encoder tells the kinds apart
     kinds = {"RegularVertex", "Fundamental"}
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
@@ -64,13 +64,11 @@ def test_only_the_cli_branches_on_the_descriptor_kind():
                 names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
                 if {getattr(n, "id", getattr(n, "attr", None)) for n in names} & kinds:
                     found.append(path.name)
-    assert "cli.py" in found  # the scan sees the renderers' branches
+    assert "cli.py" in found  # the scan sees the encoder's branch
     assert [name for name in found if name != "cli.py"] == []
-    # and within the CLI only those two renderers: the report decoder reads a
-    # violation's labels off its JSON kind, and JSON types are exact type tests
-    assert _scopes_naming(PACKAGE_DIR / "cli.py", {"isinstance"}) == [
-        "cli.violation_to_dict", "cli._facet_label",
-    ]
+    # and within the CLI only the encoder: the text renderers and the report
+    # decoder read a violation's JSON kind, and JSON types are exact type tests
+    assert _scopes_naming(PACKAGE_DIR / "cli.py", {"isinstance"}) == ["cli.violation_to_dict"]
 
 
 def test_the_sweep_decides_eligibility_by_the_facet_data_gate():

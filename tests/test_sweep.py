@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import networkx as nx
@@ -375,6 +376,20 @@ def test_oracle_cli_reports_the_flags_classify_reads(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("agreement: MISMATCH") == 10
     assert out.count("agreement: ok") == 10
+
+
+def test_oracle_cli_json_reports_the_disagreement(monkeypatch, capsys):
+    # the JSON record carries the same verdicts as the text, and the exit
+    # status and the stderr line read the record's agreement
+    _regular_vertex_flags_true(monkeypatch)
+    assert main(["oracle", str(DATA_DIR / "conn7_sample.g6"), "--json"]) == 4
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    verdicts = [(r["agreement"], r["r1_lattice"], r["r1_connectivity"]) for r in records]
+    assert verdicts.count((False, False, True)) == 10
+    assert [r["agreement"] for r in records].count(True) == 10
+    assert len(records) == 20
+    assert captured.err.count("criteria disagree") == 10
 
 
 def test_walk_flag_fires_on_a_flipped_fundamental_set_flag(monkeypatch):
