@@ -15,6 +15,10 @@ or connected, read off the flood that found the facet.  descriptor(t, nb)
 names a pair by T, or by i when T is empty, and keeps no N: the oracle's
 records carry the pair as their sides.  The supporting form is the sum over
 N minus the sum over T, halved when T and N exhaust the vertices.
+
+iter_fundamental_sets(g, True) is the (R1) search: it yields only the
+fundamental sets whose rest is disconnected, and never pushes a search child
+whose rest has fewer than R1_REST_FLOOR vertices, the six that a failing rest needs.
 """
 
 from __future__ import annotations
@@ -91,7 +95,14 @@ def regular_vertices(g: Graph) -> list[Facet]:
 # ---------------------------------------------------------------------------
 # fundamental sets
 
-def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
+# Every component of a fundamental set's rest V - (T | N(T)) has an odd cycle, so
+# at least three vertices, and a rest that fails (R1) has two or more: a
+# failing fundamental set's rest has at least this many vertices.  T and N(T) are
+# nonempty, so a rest has at most d - 2 vertices: no fundamental set fails when d <= 7
+R1_REST_FLOOR = 6
+
+
+def iter_fundamental_sets(g: Graph, r1_search: bool = False) -> Iterator[Facet]:
     """(T, N(T), connected) for each fundamental set T, in lexicographic order
     of the sorted tuples of T; connected: V - (T | N(T)) is empty or connected.
 
@@ -104,19 +115,19 @@ def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
     never pushed: on bridge_graph(k) that leaves 9 * 2^(k-1) + 11 of the
     9 * 2^k - 2 H-connected independent sets.
 
-    With min_rest, only the sets whose rest V - (T | N(T)) has at least that
-    many vertices are yielded, and a child below the floor is never pushed, since
-    a child's rest is a subset of its parent's.  Every component of a fundamental
-    set's rest has an odd cycle, so a disconnected rest has at least 6 vertices:
-    min_rest=6 keeps every (R1) violation.  As T and N(T) are nonempty, the rest
-    has at most d - 2 vertices, so no fundamental set fails (R1) when d <= 7.
+    With r1_search, the (R1) search: only the fundamental sets that fail (R1),
+    those whose rest is disconnected, are yielded, all with connected false.
+    A child whose rest has fewer than R1_REST_FLOOR vertices is never pushed,
+    since a child's rest is a subset of its parent's, and a popped node is
+    kept only when the flood that finds it fundamental finds its rest disconnected.
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
     closed = [a | 1 << i for i, a in enumerate(adj)]
+    floor = R1_REST_FLOOR if r1_search else 0
     for r in range(g.d):
         root = 1 << r
-        if (rest := full & ~closed[r]).bit_count() < min_rest:
+        if (rest := full & ~closed[r]).bit_count() < floor:
             continue
         out = []
         above = -root << 1
@@ -131,14 +142,14 @@ def iter_fundamental_sets(g: Graph, min_rest: int = 0) -> Iterator[Facet]:
             t, ext, reached, rest, bad = stack.pop()
             if not bad:
                 bad, lowest = first_component(g, rest, False)
-                if not bad:
+                if not bad and (lowest != rest or not r1_search):
                     out.append((t, full ^ t ^ rest, lowest == rest))
             while ext:
                 w = ext & -ext
                 ext ^= w
                 i = w.bit_length() - 1
                 child_rest = rest & ~closed[i]
-                if child_rest.bit_count() >= min_rest:
+                if child_rest.bit_count() >= floor:
                     child_ext = (ext | share[i] & above & ~reached) & child_rest
                     child_bad = bad & child_rest
                     if child_ext or not child_bad:

@@ -7,15 +7,14 @@ where a regular vertex i is (empty set, {i}) and a fundamental set T is
 that found the facet, and r1_violations reads that flag in a walk;
 facet_connectivity_holds tests one facet on its own, given its sides (T, N).
 
-A fundamental set fails only when its rest has six or more vertices.  Every component of a
-fundamental set's rest has an odd cycle, so it has at least three vertices,
-and a disconnected rest has two of them.  A child of the fundamental-set
-search has a rest inside its parent's, so satisfies_r1 pushes no child whose
-rest has fewer than six vertices, nor any node of its subtree.  In particular no graph with
-d <= 7 has a failing fundamental set: T and N(T) are nonempty, so its rest
-has at most d - 2 <= 5 vertices, and only regular vertices can fail there.
-With or without the floor, the search pushes no child that keeps a bipartite
-piece of its parent's rest and cannot grow: it is neither fundamental nor a parent.
+satisfies_r1 walks the regular vertices and the (R1) search of facets.py,
+iter_fundamental_sets(g, True), which yields only the fundamental sets whose
+rest is disconnected.  A failing rest has at least R1_REST_FLOOR = 6 vertices
+(the lemma stands beside that constant), and a child of the search has a rest
+inside its parent's, so the search pushes no child below the floor, nor any
+node of its subtree; no graph with d <= 7 has a failing fundamental set.  Both
+searches push no child that keeps a bipartite piece of its parent's rest and
+cannot grow: it is neither fundamental nor a parent.
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
@@ -83,15 +82,13 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     descriptors whose connectivity condition fails: regular vertices by
     label, then fundamental sets in lexicographic order.  Bipartite graphs
     are normal and pass with no violations.
-    With early_exit the lazy walk stops at the first violation.  The search
-    lists only the fundamental sets whose rest has at least six vertices,
-    the only ones that can fail (module docstring); so none is searched
-    for when d <= 7.
+    With early_exit the lazy walk stops at the first violation.  Its
+    fundamental sets come from the (R1) search, which yields only the failing
+    ones, so none is searched for when d <= 7 (module docstring).
     """
     if not require_connected(g):
         return (True, [])
-    # a failing fundamental set's rest has at least 6 vertices (module docstring)
-    walk = chain(regular_vertices(g), iter_fundamental_sets(g, 6))
+    walk = chain(regular_vertices(g), iter_fundamental_sets(g, True))
     violations = list(islice(r1_violations(walk), 1 if early_exit else None))
     return (not violations, violations)
 

@@ -38,6 +38,7 @@ from edgering import (
     support_form,
     vset,
 )
+from edgering.facets import R1_REST_FLOOR
 from helpers import (
     brute_fundamental,
     brute_fundamental_sets,
@@ -221,8 +222,8 @@ def test_fundamental_sets_match_independent_set_scan_on_relabelled_bridges(k):
     assert carried_fundamental_sets(g) == independent_set_scan_fundamental_sets(g)
 
 
-def esu_work(monkeypatch, g: Graph, min_rest: int = 0) -> tuple[int, int]:
-    """(rest floods, search nodes) of one run of iter_fundamental_sets(g, min_rest).
+def esu_work(monkeypatch, g: Graph, r1_search: bool = False) -> tuple[int, int]:
+    """(rest floods, search nodes) of one run of iter_fundamental_sets(g, r1_search).
 
     Floods are counted at the enumeration's call of first_component, and
     nodes as the executions of its stack.pop() line, through a line tracer
@@ -244,7 +245,7 @@ def esu_work(monkeypatch, g: Graph, min_rest: int = 0) -> tuple[int, int]:
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        list(iter_fundamental_sets(g, min_rest))
+        list(iter_fundamental_sets(g, r1_search))
     finally:
         sys.settrace(previous)
     return len(floods), nodes
@@ -265,15 +266,18 @@ def test_bridge_enumeration_floods_linearly_and_visits_every_node(monkeypatch, k
     assert pops == sum(not dead for _, dead in nodes) == 9 * 2 ** (k - 1) + 11 >= 2**k
 
 
-@given(connected_nonbipartite_graphs(max_d=12), st.sampled_from((0, 6)))
+@given(connected_nonbipartite_graphs(max_d=12), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_the_search_pops_the_reference_nodes_that_are_not_dead(g, min_rest):
+def test_the_search_pops_the_reference_nodes_that_are_not_dead(g, r1_search):
     # a dead child is neither fundamental nor a parent, so leaving it off the
-    # stack changes no item and drops exactly that one node
-    items, nodes = reference_fundamental_search(g, min_rest)
+    # stack changes no item and drops exactly that one node; the (R1) search
+    # pops the floored reference's nodes and keeps its failing items
+    items, nodes = reference_fundamental_search(g, R1_REST_FLOOR if r1_search else 0)
     with pytest.MonkeyPatch.context() as mp:
-        pops = esu_work(mp, g, min_rest)[1]
-    assert list(iter_fundamental_sets(g, min_rest)) == items
+        pops = esu_work(mp, g, r1_search)[1]
+    if r1_search:
+        items = [f for f in items if not f[2]]
+    assert list(iter_fundamental_sets(g, r1_search)) == items
     assert pops == sum(not dead for _, dead in nodes)
 
 
@@ -521,7 +525,7 @@ def test_satisfies_r1_reads_the_walks_violations():
 
 
 # ---------------------------------------------------------------------------
-# the rest floor
+# the (R1) search and its rest floor
 
 def rest_size(g: Graph, t: int, nb: int) -> int:
     return (g.full & ~(t | nb)).bit_count()
@@ -541,18 +545,21 @@ def floor_targets():
 
 
 def test_the_floor_lists_the_full_walks_sets_with_large_rests():
-    # the floored search yields the full walk's items whose rest has at least
-    # 6 vertices, item for item and in order, and both are the reference's
-    kept = cut = 0
+    # the (R1) search yields the full walk's items whose rest has at least 6
+    # vertices and is disconnected, item for item and in order; the floored
+    # reference lists every large rest, and the failing ones are among them
+    failing = large_passing = small = 0
     for g in floor_targets():
         full = list(iter_fundamental_sets(g))
         large = [f for f in full if rest_size(g, f[0], f[1]) >= 6]
-        assert list(iter_fundamental_sets(g, 6)) == large, g
+        assert list(iter_fundamental_sets(g, True)) == [f for f in large if not f[2]], g
+        assert [f for f in full if not f[2]] == [f for f in large if not f[2]], g
         assert reference_fundamental_search(g)[0] == full, g
         assert reference_fundamental_search(g, 6)[0] == large, g
-        kept += len(large)
-        cut += len(full) - len(large)
-    assert kept and cut
+        failing += sum(not f[2] for f in large)
+        large_passing += sum(f[2] for f in large)
+        small += len(full) - len(large)
+    assert failing and large_passing and small
 
 
 def test_no_fundamental_set_fails_below_eight_vertices():
@@ -561,21 +568,21 @@ def test_no_fundamental_set_fails_below_eight_vertices():
     graphs = 0
     for g in walk_targets():
         if g.d <= 7:
-            assert list(iter_fundamental_sets(g, 6)) == [], g
+            assert list(iter_fundamental_sets(g, True)) == [], g
             assert all(connected for _, _, connected in iter_fundamental_sets(g)), g
             graphs += 1
     assert graphs == 553 + 350
 
 
-@given(connected_nonbipartite_graphs(min_d=6, max_d=12), st.integers(0, 12))
+@given(connected_nonbipartite_graphs(min_d=6, max_d=12))
 @settings(max_examples=40, deadline=None)
-def test_the_floor_filters_the_full_walk_in_order(g, min_rest):
-    full = list(iter_fundamental_sets(g))
-    large = [f for f in full if rest_size(g, f[0], f[1]) >= min_rest]
-    assert list(iter_fundamental_sets(g, min_rest)) == large
+def test_the_floor_filters_the_full_walk_in_order(g):
+    failing = [f for f in iter_fundamental_sets(g) if not f[2]]
+    assert all(rest_size(g, t, nb) >= R1_REST_FLOOR for t, nb, _ in failing)
+    assert list(iter_fundamental_sets(g, True)) == failing
 
 
-# pops of iter_fundamental_sets(bridge_graph(k), 6), read off the reference search
+# pops of iter_fundamental_sets(bridge_graph(k), True), read off the floored reference search
 FLOORED_POPS = {6: 99, 7: 263, 8: 643, 9: 1507, 10: 3403}
 
 
@@ -592,5 +599,5 @@ def test_the_floor_skips_whole_subtrees(monkeypatch, k):
     _, floored = reference_fundamental_search(g, 6)
     reached = [t for t in nodes if rest_size(g, t, neighborhood(g, t)) >= 6]
     assert sorted(t for t, _ in floored) == reached
-    pops = esu_work(monkeypatch, g, 6)[1]
+    pops = esu_work(monkeypatch, g, True)[1]
     assert pops == sum(not dead for _, dead in floored) == FLOORED_POPS[k] < 9 * 2 ** (k - 1) + 11

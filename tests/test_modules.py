@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import subprocess
 import sys
 import textwrap
@@ -131,9 +132,11 @@ def test_only_the_closed_form_rule_reads_pivots_in_the_oracle():
 
 
 def test_only_satisfies_r1_floors_the_fundamental_set_search():
-    # a floor on the rest drops the fundamental sets that cannot fail (R1);
-    # facet_walk, and through it the oracle and the sweep, need every facet.
-    # satisfies_r1 calls the search by its module global, which the tracer wraps
+    # the (R1) search, iter_fundamental_sets(g, True), yields only the fundamental
+    # sets that fail (R1); facet_walk, and through it the oracle and the sweep,
+    # need every facet.  The flag is the search's one optional parameter, and
+    # satisfies_r1 alone passes it, as the constant True, to the search by its
+    # module global, which the tracer wraps
     calls = []
 
     def visit(node, scope):
@@ -141,14 +144,17 @@ def test_only_satisfies_r1_floors_the_fundamental_set_search():
             if isinstance(child, ast.Call) and "iter_fundamental_sets" in (
                 getattr(child.func, "id", None), getattr(child.func, "attr", None)
             ):
-                calls.append((scope, type(child.func).__name__, len(child.args) + len(child.keywords)))
+                flags = [ast.unparse(arg) for arg in child.args[1:]] + [ast.unparse(kw) for kw in child.keywords]
+                calls.append((scope, type(child.func).__name__, flags))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert ("facets.facet_walk", "Name", 1) in calls  # the scan sees the full walk
-    assert [call for call in calls if call[2] != 1] == [("serre.satisfies_r1", "Name", 2)]
+    assert ("facets.facet_walk", "Name", []) in calls  # the scan sees the full walk
+    assert [call for call in calls if call[2]] == [("serre.satisfies_r1", "Name", ["True"])]
+    params = list(inspect.signature(edgering.iter_fundamental_sets).parameters.values())
+    assert [(p.kind, p.default) for p in params[1:]] == [(inspect.Parameter.POSITIONAL_OR_KEYWORD, False)]
 
 
 def test_the_oracle_reads_no_connectivity_result():

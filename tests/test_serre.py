@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgering import (
@@ -280,14 +280,16 @@ def test_r1_reads_the_full_walks_violations(g):
     assert satisfies_r1(g, early_exit=True) == (not violations, violations[:1])
 
 
+# N({1}) = {2}, and the rest of {1} is the two triangles 345 and 678, which no
+# edge joins: the smallest rest that can fail
+SIX_REST = Graph(8, ((1, 2), (2, 3), (2, 6), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)))
+
+
 def test_the_floor_keeps_a_rest_of_exactly_six_vertices():
-    # N({1}) = {2}, and the rest of {1} is the two triangles 345 and 678,
-    # which no edge joins: the smallest rest that can fail
-    g = Graph(8, ((1, 2), (2, 3), (2, 6), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)))
+    g = SIX_REST
     assert satisfies_r1(g) == (False, [Fundamental(vset([1]))])
     assert satisfies_r1(g, early_exit=True) == (False, [Fundamental(vset([1]))])
-    assert (vset([1]), vset([2]), False) in iter_fundamental_sets(g, 6)
-    assert list(iter_fundamental_sets(g, 7)) == []
+    assert list(iter_fundamental_sets(g, True)) == [(vset([1]), vset([2]), False)]
 
 
 def _count_serre_floods(monkeypatch) -> list[int]:
@@ -405,3 +407,49 @@ def test_violations_are_facets(g):
     all_facets = [descriptor(t, nb) for t, nb, _ in facet_walk(g)]
     for f in report.r1_violations:
         assert f in all_facets
+
+
+# ---------------------------------------------------------------------------
+# a leaf added at one vertex
+
+def walk_order(f) -> tuple:
+    """Sort key of a descriptor in walk order: regular vertices by label, then
+    fundamental sets by their sorted vertex tuples."""
+    return (1, f.vertices) if isinstance(f, Fundamental) else (0, (f.vertex,))
+
+
+def leaf_lift(g: Graph, v: int, violations) -> list:
+    """g's violations as they read once a leaf d + 1 hangs at v: v's own
+    regular-vertex facet becomes the leaf's fundamental set {d + 1}, a fundamental
+    set T with v in N(T) takes the leaf in, and every other facet stays."""
+    leaf = g.d + 1
+    out = []
+    for f in violations:
+        if f == RegularVertex(v):
+            f = Fundamental(vset([leaf]))
+        elif isinstance(f, Fundamental) and neighborhood(g, f.mask) >> (v - 1) & 1:
+            f = Fundamental(vset([*f.vertices, leaf]))
+        out.append(f)
+    return sorted(out, key=walk_order)
+
+
+@given(connected_nonbipartite_graphs(max_d=10), st.integers(1, 10))
+@example(bridge_graph(1), 7)  # the failing regular vertex 7 becomes {8}
+@example(bridge_graph(1), 1)  # 7 stays
+@example(SIX_REST, 2)  # the failing set {1} has 2 in N({1}), and becomes {1, 9}
+@example(SIX_REST, 1)  # {1} stays, with the leaf in N({1})
+@example(SIX_REST, 4)  # {1} stays, with the leaf in its rest
+@settings(max_examples=60, deadline=None)
+def test_a_leaf_lifts_the_violations_and_keeps_the_verdicts(g, k):
+    # with the leaf, v's rest gains an isolated vertex, so v is no longer
+    # regular, and {leaf} is fundamental with rest g - v exactly when v was
+    # regular; a set T with v in N(T) leaves the leaf alone in its rest unless
+    # it takes it in, and every other facet keeps its rest's components
+    v = (k - 1) % g.d + 1
+    lifted = Graph(g.d + 1, (*g.edges, (v, g.d + 1)))
+    report, lifted_report = classify(g), classify(lifted)
+    assert (lifted_report.r1, lifted_report.normal) == (report.r1, report.normal)
+    assert lifted_report.occ_violation == report.occ_violation
+    assert list(lifted_report.r1_violations) == leaf_lift(g, v, report.r1_violations)
+    ok, violations = oracle_r1(g)
+    assert oracle_r1(lifted) == (ok, leaf_lift(g, v, violations))

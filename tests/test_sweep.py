@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import networkx as nx
@@ -12,6 +13,7 @@ import edgering.sweep
 from conftest import DATA_DIR
 from edgering import (
     DisagreementError,
+    Fundamental,
     Graph,
     IntegerLattice,
     SupportForm,
@@ -25,12 +27,14 @@ from edgering import (
     labelled_graphs,
     oracle_r1,
     parse_graph6,
+    r1_violations,
     run_sweep,
     satisfies_odd_cycle_condition,
+    satisfies_r1,
     serialize_graph6,
 )
 from edgering.cli import main
-from helpers import nx_graph
+from helpers import nx_graph, random_connected_nonbipartite
 
 
 def test_cross_check_clean_on_exhibits(bridge2, bridge1):
@@ -40,6 +44,38 @@ def test_cross_check_clean_on_exhibits(bridge2, bridge1):
         assert parse_graph6(result.graph6) == [g]
     assert cross_check(bridge2).r1 and not cross_check(bridge2).normal
     assert not cross_check(bridge1).r1
+
+
+# d: (checked, normal, r1, graphs with a failing fundamental set) over the
+# seeded G(d, 0.15) draws census-{d}-0 .. census-{d}-19
+SPARSE_CENSUS = {
+    16: (20, 13, 19, 1),
+    17: (20, 14, 17, 2),
+    18: (20, 9, 15, 5),
+    19: (20, 8, 15, 5),
+    20: (20, 8, 19, 1),
+}
+
+
+def test_sparse_random_census():
+    # sparse graphs fail (R1) at fundamental sets far more often than the
+    # committed corpora, where one graph does; every invariant holds on them,
+    # and satisfies_r1's (R1) search names the full walk's violations
+    census = {}
+    for d in SPARSE_CENSUS:
+        checked = normal = r1 = failing = 0
+        for s in range(20):
+            g = random_connected_nonbipartite(random.Random(f"census-{d}-{s}"), d, 0.15)
+            result = cross_check(g)
+            assert result.failures == (), result.graph6
+            violations = list(r1_violations(facet_walk(g)))
+            assert satisfies_r1(g) == (result.r1, violations), result.graph6
+            checked += 1
+            normal += result.normal
+            r1 += result.r1
+            failing += any(isinstance(f, Fundamental) for f in violations)
+        census[d] = (checked, normal, r1, failing)
+    assert census == SPARSE_CENSUS
 
 
 def test_run_sweep_counts_match_networkx():
