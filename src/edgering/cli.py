@@ -10,6 +10,7 @@ Any other exception is a bug and surfaces with its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .graph import (
 )
 from .oracle import facet_conditions, failing_facets, monoid_group
 from .serre import ClassificationReport, classify, r1_violations
-from .sweep import run_sweep
+from .sweep import SweepSummary, run_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -262,35 +263,29 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    disagreements = []
     if args.source:
-        summary = run_sweep(g for _, g in _load_graphs(args.source, "graph6"))
-        print(
-            f"source {args.source}: checked={summary.checked} "
-            f"normal={summary.normal} r1={summary.r1}"
-        )
-        if summary.skipped:
-            print(f"skipped: {summary.skipped} (disconnected or bipartite)")
-        disagreements = summary.disagreements
+        sources = {f"source {args.source}": (g for _, g in _load_graphs(args.source, "graph6"))}
     elif not 1 <= args.max_vertices <= 7:  # 2^(N choose 2) labelled graphs at N
         print("error: --max-vertices must be 1..7; sweep larger graphs with --source",
               file=sys.stderr)
         return EXIT_INPUT
     else:
-        checked = normal = r1 = 0
-        for d in range(1, args.max_vertices + 1):
-            summary = run_sweep(labelled_graphs(d))
-            print(f"d={d}: checked={summary.checked} normal={summary.normal} r1={summary.r1}")
-            checked += summary.checked
-            normal += summary.normal
-            r1 += summary.r1
-            disagreements += summary.disagreements
-        print(f"total: checked={checked} normal={normal} r1={r1}")
-    print(f"disagreements: {len(disagreements)}")
-    for cc in disagreements:
+        sources = {f"d={d}": labelled_graphs(d) for d in range(1, args.max_vertices + 1)}
+    total = SweepSummary()
+    for name, graphs in sources.items():
+        summary = run_sweep(graphs)
+        print(f"{name}: checked={summary.checked} normal={summary.normal} r1={summary.r1}")
+        for f in dataclasses.fields(total):  # every tally adds: counts and the disagreement list
+            setattr(total, f.name, getattr(total, f.name) + getattr(summary, f.name))
+    if not args.source:
+        print(f"total: checked={total.checked} normal={total.normal} r1={total.r1}")
+    elif total.skipped:
+        print(f"skipped: {total.skipped} (disconnected or bipartite)")
+    print(f"disagreements: {len(total.disagreements)}")
+    for cc in total.disagreements:
         print(f"  {cc.graph6}  {','.join(cc.failures)}")
     print(f"elapsed: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_DISAGREEMENT if disagreements else EXIT_OK
+    return EXIT_DISAGREEMENT if total.disagreements else EXIT_OK
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ N minus the sum over T, halved when T and N exhaust the vertices.
 
 iter_fundamental_sets(g, True) is the (R1) search: it yields only the
 fundamental sets whose rest is disconnected, and never pushes a search child
-whose rest has fewer than R1_REST_FLOOR vertices, the six that a failing rest needs.
+whose rest has fewer than R1_REST_FLOOR vertices (the lemma stands beside it).
 """
 
 from __future__ import annotations
@@ -117,9 +117,10 @@ def iter_fundamental_sets(g: Graph, r1_search: bool = False) -> Iterator[Facet]:
 
     With r1_search, the (R1) search: only the fundamental sets that fail (R1),
     those whose rest is disconnected, are yielded, all with connected false.
-    A child whose rest has fewer than R1_REST_FLOOR vertices is never pushed,
-    since a child's rest is a subset of its parent's, and a popped node is
-    kept only when the flood that finds it fundamental finds its rest disconnected.
+    A child whose rest has fewer than R1_REST_FLOOR vertices (the lemma stands
+    beside the constant) is never pushed, since a child's rest is a subset of
+    its parent's, and a popped node is kept only when the flood that finds it
+    fundamental finds its rest disconnected.
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
@@ -127,23 +128,18 @@ def iter_fundamental_sets(g: Graph, r1_search: bool = False) -> Iterator[Facet]:
     floor = R1_REST_FLOOR if r1_search else 0
     for r in range(g.d):
         root = 1 << r
-        if (rest := full & ~closed[r]).bit_count() < floor:
-            continue
         out = []
         above = -root << 1
         # (T, extension set, T and its H-neighbours, rest V - T - N(T), bad); T is
-        # independent, so N(T) is V - T - rest.  T's smallest vertex is r, and a
-        # child adds w with its fresh H-neighbours above r.  bad is 0 or a union of
-        # bipartite components of the rest; a child's rest loses w and N(w), and
-        # what bad keeps is still such a union, so a child with a bad piece and no
-        # extension is neither fundamental nor a parent, and is never pushed
-        stack = [(root, share[r] & above & rest, root | share[r], rest, 0)]
-        while stack:
-            t, ext, reached, rest, bad = stack.pop()
-            if not bad:
-                bad, lowest = first_component(g, rest, False)
-                if not bad and (lowest != rest or not r1_search):
-                    out.append((t, full ^ t ^ rest, lowest == rest))
+        # independent, so N(T) is V - T - rest.  T's smallest vertex is r: the walk
+        # starts at the empty set, whose one extension is r, and a child adds w with
+        # its fresh H-neighbours above r.  bad is 0 or a union of bipartite components
+        # of the rest; a child's rest loses w and N(w), and what bad keeps is still
+        # such a union, so a child with a bad piece and no extension is neither
+        # fundamental nor a parent, and is never pushed
+        t, ext, reached, rest, bad = 0, root, root, full, 0
+        stack = []
+        while True:
             while ext:
                 w = ext & -ext
                 ext ^= w
@@ -154,6 +150,13 @@ def iter_fundamental_sets(g: Graph, r1_search: bool = False) -> Iterator[Facet]:
                     child_bad = bad & child_rest
                     if child_ext or not child_bad:
                         stack.append((t | w, child_ext, reached | share[i], child_rest, child_bad))
+            if not stack:
+                break
+            t, ext, reached, rest, bad = stack.pop()
+            if not bad:
+                bad, lowest = first_component(g, rest, False)
+                if not bad and (lowest != rest or not r1_search):
+                    out.append((t, full ^ t ^ rest, lowest == rest))
         # each root's sorted tuples start with r, so come before the next root's
         if len(out) > 1:
             out.sort(key=lambda e: members(e[0]))

@@ -9,10 +9,8 @@ facet_connectivity_holds tests one facet on its own, given its sides (T, N).
 
 satisfies_r1 walks the regular vertices and the (R1) search of facets.py,
 iter_fundamental_sets(g, True), which yields only the fundamental sets whose
-rest is disconnected.  A failing rest has at least R1_REST_FLOOR = 6 vertices
-(the lemma stands beside that constant), and a child of the search has a rest
-inside its parent's, so the search pushes no child below the floor, nor any
-node of its subtree; no graph with d <= 7 has a failing fundamental set.  Both
+rest is disconnected and pushes no child whose rest has fewer than
+facets.R1_REST_FLOOR vertices: the lemma beside that constant says why.  Both
 searches push no child that keeps a bipartite piece of its parent's rest and
 cannot grow: it is neither fundamental nor a parent.
 
@@ -84,7 +82,7 @@ def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[Face
     are normal and pass with no violations.
     With early_exit the lazy walk stops at the first violation.  Its
     fundamental sets come from the (R1) search, which yields only the failing
-    ones, so none is searched for when d <= 7 (module docstring).
+    ones and is floored at facets.R1_REST_FLOOR (the lemma stands there).
     """
     if not require_connected(g):
         return (True, [])

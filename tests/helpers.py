@@ -381,6 +381,17 @@ def connected_nonbipartite_graphs(draw, min_d: int = 3, max_d: int = 7) -> Graph
     return g
 
 
+@st.composite
+def sparse_connected_nonbipartite_graphs(draw, min_d: int = 8, max_d: int = 12) -> Graph:
+    """A connected nonbipartite G(d, p) draw with p in 0.1..0.3: sparse graphs,
+    whose rests fall apart into odd pieces far more often than those of
+    connected_nonbipartite_graphs, which adds edges to a path with a triangle."""
+    d = draw(st.integers(min_d, max_d))
+    p = draw(st.floats(0.1, 0.3))
+    # hypothesis seeds this Random itself; a drawn integer seed repeats far more often
+    return random_connected_nonbipartite(draw(st.randoms(use_true_random=True)), d, p)
+
+
 class EagerLattice:
     """The lattice as built before IntegerLattice kept echelon rows.
 

@@ -420,6 +420,34 @@ def test_sweep_corpus(capsys, corpus7_path):
     assert "disagreements: 0" in stdout
 
 
+@pytest.mark.parametrize("name, counts", [
+    ("conn7.g6", "checked=350 normal=300 r1=300"),
+    ("gnp_d18_20_22.g6", "checked=3 normal=0 r1=2"),  # the one failing fundamental set
+    ("bridge_k7_10.g6", "checked=4 normal=0 r1=4"),
+])
+def test_sweep_source_prints_one_count_line(capsys, name, counts):
+    path = DATA_DIR / name
+    code, stdout, stderr = run_cli(capsys, "sweep", "--source", str(path))
+    assert code == 0
+    assert stdout == f"source {path}: {counts}\ndisagreements: 0\n"
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", stderr)
+
+
+def test_sweep_max_vertices_prints_a_row_per_d_and_the_total(capsys):
+    code, stdout, stderr = run_cli(capsys, "sweep", "--max-vertices", "5")
+    assert code == 0
+    assert stdout == (
+        "d=1: checked=0 normal=0 r1=0\n"
+        "d=2: checked=0 normal=0 r1=0\n"
+        "d=3: checked=1 normal=1 r1=1\n"
+        "d=4: checked=19 normal=19 r1=19\n"
+        "d=5: checked=533 normal=533 r1=533\n"
+        "total: checked=553 normal=553 r1=553\n"
+        "disagreements: 0\n"
+    )
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", stderr)
+
+
 @pytest.mark.parametrize("n", ["99", "5"])
 def test_sweep_rejects_source_with_max_vertices(capsys, corpus7_path, n):
     # the graphs come from a file or from all labelled graphs, never both;

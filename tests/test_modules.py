@@ -124,6 +124,41 @@ def test_only_the_fundamental_set_search_computes_neighborhoods():
     assert scopes == ["facets.iter_fundamental_sets"]
 
 
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    # the module-level function of that name in the file
+    return next(
+        node for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_the_fundamental_set_search_states_its_push_rule_once():
+    # each root's walk starts at the empty set, whose one extension is the root,
+    # so {r} passes the floor test and the dead-child rule of every other child:
+    # the search compares floor in one place and builds its frames at one append
+    nodes = list(ast.walk(_function(PACKAGE_DIR / "facets.py", "iter_fundamental_sets")))
+    floors = [
+        ast.unparse(node) for node in nodes
+        if isinstance(node, ast.Compare) and "floor" in {getattr(n, "id", None) for n in ast.walk(node)}
+    ]
+    assert len(floors) == 1, floors
+    assert sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "stack.append" for node in nodes) == 1
+    stacks = [
+        ast.unparse(node.value) for node in nodes
+        if isinstance(node, ast.Assign) and "stack" in {getattr(t, "id", None) for t in node.targets}
+    ]
+    assert stacks == ["[]"]
+
+
+def test_the_sweep_command_runs_one_loop_over_its_sources():
+    # cmd_sweep maps each source to its graph stream and folds every summary
+    # into one total, so it calls run_sweep at one site and adds up no counter
+    # of its own
+    assert _scopes_naming(PACKAGE_DIR / "cli.py", {"run_sweep"}).count("cli.cmd_sweep") == 1
+    nodes = ast.walk(_function(PACKAGE_DIR / "cli.py", "cmd_sweep"))
+    assert [ast.unparse(node) for node in nodes if isinstance(node, ast.AugAssign)] == []
+
+
 def test_only_the_closed_form_rule_reads_pivots_in_the_oracle():
     # the even-sum lattice, K and D share one pivot shape, and oracle.py states
     # it once: only _has_closed_form names pivots or pivot_product

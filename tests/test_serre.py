@@ -42,6 +42,7 @@ from helpers import (
     pair_loop_odd_cycle_condition,
     random_connected_nonbipartite,
     random_graph,
+    sparse_connected_nonbipartite_graphs,
     sparse_random_graphs,
     subset_scan_chordless_odd_cycles,
 )
@@ -280,6 +281,14 @@ def test_r1_reads_the_full_walks_violations(g):
     assert satisfies_r1(g, early_exit=True) == (not violations, violations[:1])
 
 
+@given(sparse_connected_nonbipartite_graphs())
+@settings(max_examples=200, deadline=None)
+def test_r1_reads_the_full_walks_violations_on_sparse_draws(g):
+    # the dense strategy above seldom draws a failing fundamental set; sparse
+    # G(d, p) draws do, so the floored search is checked where it cuts
+    test_r1_reads_the_full_walks_violations.hypothesis.inner_test(g)
+
+
 # N({1}) = {2}, and the rest of {1} is the two triangles 345 and 678, which no
 # edge joins: the smallest rest that can fail
 SIX_REST = Graph(8, ((1, 2), (2, 3), (2, 6), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8)))
@@ -453,3 +462,10 @@ def test_a_leaf_lifts_the_violations_and_keeps_the_verdicts(g, k):
     assert list(lifted_report.r1_violations) == leaf_lift(g, v, report.r1_violations)
     ok, violations = oracle_r1(g)
     assert oracle_r1(lifted) == (ok, leaf_lift(g, v, violations))
+
+
+@given(sparse_connected_nonbipartite_graphs(), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_a_leaf_lifts_the_violations_of_sparse_draws(g, k):
+    # sparse draws fail (R1) at fundamental sets as well as at regular vertices
+    test_a_leaf_lifts_the_violations_and_keeps_the_verdicts.hypothesis.inner_test(g, k)
