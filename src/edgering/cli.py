@@ -135,7 +135,7 @@ def report_from_dict(dct: dict) -> ClassificationReport:
     report = ClassificationReport(dct["bipartite"], dct["r1"], violations, occ)
     if type(report.bipartite) is not bool or type(report.r1) is not bool:
         raise ValueError(f"bipartite {report.bipartite!r} or r1 {report.r1!r} is not a JSON bool")
-    if report.normal and not report.r1:  # classify raises DisagreementError on this state
+    if report.normal and not report.r1:  # classify never builds this state
         raise ValueError("a normal graph's report satisfies (R1)")
     if report.bipartite and (violations or occ is not None):
         raise ValueError("a bipartite graph's report has no violation and no odd cycle witness")

@@ -16,7 +16,9 @@ cannot grow: it is neither fundamental nor a parent.
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
-graph the edge ring is always normal, hence both hold trivially.
+graph the edge ring is always normal, hence both hold trivially.  So classify
+decides the condition first and searches for (R1) violations only when it
+fails; the sweep runs both routes on every graph and checks the implication.
 
 The condition is decided without listing every cycle.  Call a chordless odd
 cycle C exceptional when g - N[C], the graph with C and its neighbors
@@ -37,7 +39,6 @@ from typing import Iterable, Iterator
 from .facets import Facet, FacetDescriptor, descriptor, iter_fundamental_sets, regular_vertices
 from .graph import (
     Cycle,
-    DisagreementError,
     Graph,
     VertexSet,
     connected_within,
@@ -110,10 +111,8 @@ class ClassificationReport:
 
 
 def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
-    """Full report for a connected graph: normality, (R1), and witnesses."""
+    """Full report for a connected graph: normality, then (R1) if not normal, and witnesses."""
     bipartite = not require_connected(g)
-    ok, violations = satisfies_r1(g, early_exit=early_exit)
     occ = None if bipartite else satisfies_odd_cycle_condition(g)
-    if occ is None and not ok:
-        raise DisagreementError("normal graph failed the (R1) criterion; internal error")
+    ok, violations = (True, []) if occ is None else satisfies_r1(g, early_exit=early_exit)
     return ClassificationReport(bipartite, ok, tuple(violations), occ)

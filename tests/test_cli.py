@@ -289,15 +289,6 @@ def test_failed_group_identity_exits_4(tmp_path, capsys, even_sum_identity_fails
         assert "disagreements: 1" in stdout and "monoid-group" in stdout
 
 
-def test_criterion_failing_a_normal_graph_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("edgering.serre.satisfies_r1", lambda g, early_exit=False: (False, []))
-    path = tmp_path / "k4.el"
-    path.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
-    code, stdout, stderr = run_cli(capsys, "classify", str(path))
-    assert code == 4 and stdout == ""
-    assert "error:" in stderr and "internal error" in stderr
-
-
 @pytest.mark.parametrize("error", [ValueError("stray"), RecursionError("deep")])
 def test_unexpected_errors_propagate(tmp_path, monkeypatch, error):
     # only the documented exception types become exit codes; a bug surfaces
@@ -411,13 +402,6 @@ def test_sweep_source(tmp_path, capsys, bridge2):
         "skipped: 1 (disconnected or bipartite)\n"
         "disagreements: 0\n"
     )
-
-
-def test_sweep_corpus(capsys, corpus7_path):
-    code, stdout, _ = run_cli(capsys, "sweep", "--source", str(corpus7_path))
-    assert code == 0
-    assert "checked=350" in stdout
-    assert "disagreements: 0" in stdout
 
 
 @pytest.mark.parametrize("name, counts", [

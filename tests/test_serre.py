@@ -375,6 +375,78 @@ def test_classify_normal_nonbipartite():
     assert report.notes == "normal hence Cohen-Macaulay"
 
 
+@pytest.mark.parametrize("g", [
+    pytest.param(complete_graph(4), id="K4"),
+    pytest.param(complete_bipartite_graph(2, 3), id="K23"),
+])
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_classify_runs_no_r1_search_on_a_normal_graph(g, early_exit, monkeypatch):
+    # normal implies (R1), so the report needs no search; the tests below
+    # check that the criterion agrees on the graphs that it skips
+    def searched(h, early_exit=False):
+        raise AssertionError("(R1) search on a normal graph")
+
+    monkeypatch.setattr("edgering.serre.satisfies_r1", searched)
+    report = classify(g, early_exit=early_exit)
+    assert report.normal and report.r1 and report.r1_violations == ()
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_classify_runs_the_r1_search_once_when_not_normal(early_exit, monkeypatch):
+    import edgering.serre
+
+    calls = []
+    original = edgering.serre.satisfies_r1
+
+    def counted(h, early_exit=False):
+        calls.append((h, early_exit))
+        return original(h, early_exit=early_exit)
+
+    monkeypatch.setattr(edgering.serre, "satisfies_r1", counted)
+    g = bridge_graph(2)
+    report = classify(g, early_exit=early_exit)
+    assert calls == [(g, early_exit)]
+    assert not report.normal and report.r1
+
+
+def _count_whole_graph_floods(monkeypatch, g: Graph) -> list[bool]:
+    # every module that binds first_component by name gets the counted flood
+    import sys
+
+    import edgering.graph
+
+    calls: list[bool] = []
+    original = edgering.graph.first_component
+
+    def counted(h, within, odd_cycle):
+        calls.append(within == g.full)
+        return original(h, within, odd_cycle)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("edgering") and getattr(module, "first_component", None) is original:
+            monkeypatch.setattr(module, "first_component", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g, floods", [
+    pytest.param(complete_graph(4), 1, id="K4"),
+    pytest.param(complete_bipartite_graph(2, 3), 1, id="K23"),
+    pytest.param(cycle_graph(5), 1, id="C5"),
+    pytest.param(bridge_graph(1), 2, id="bridge-1"),
+    pytest.param(bridge_graph(8), 2, id="bridge-8"),
+    pytest.param(random_graph(random.Random("r1-work-18"), 18, 0.3), 2, id="gnp-18-0.3"),
+])
+def test_classify_floods_the_whole_graph_once_when_normal(monkeypatch, g, floods):
+    # classify's require_connected floods the whole graph; a graph that is not
+    # normal floods it once more in satisfies_r1's own require_connected
+    assert classify(g).normal == (floods == 1)
+    calls = _count_whole_graph_floods(monkeypatch, g)
+    for early_exit in (False, True):
+        calls.clear()
+        classify(g, early_exit=early_exit)
+        assert sum(calls) == floods
+
+
 def test_classify_bridge1(bridge1):
     report = classify(bridge1)
     assert not report.normal
@@ -400,13 +472,29 @@ def test_classify_refuses_disconnected_as_unsupported():
         classify(Graph(4, ((1, 2), (3, 4))))
 
 
-@given(connected_nonbipartite_graphs(max_d=6))
-@settings(max_examples=30)
+@given(connected_nonbipartite_graphs(max_d=10))
+@settings(max_examples=60, deadline=None)
 def test_normal_implies_r1(g):
-    report = classify(g)
-    if report.normal:
-        assert report.r1
-        assert report.occ_violation is None
+    # classify takes (R1) for granted on a normal graph; the criterion agrees
+    if satisfies_odd_cycle_condition(g) is None:
+        assert satisfies_r1(g) == (True, [])
+        assert satisfies_r1(g, early_exit=True) == (True, [])
+
+
+@given(sparse_connected_nonbipartite_graphs())
+@settings(max_examples=100, deadline=None)
+def test_normal_implies_r1_on_sparse_draws(g):
+    test_normal_implies_r1.hypothesis.inner_test(g)
+
+
+def test_normal_implies_r1_on_the_corpora():
+    normal = 0
+    for path in sorted(DATA_DIR.glob("*.g6")):
+        for g in parse_graph6(path.read_text()):
+            if satisfies_odd_cycle_condition(g) is None:
+                assert satisfies_r1(g) == (True, []), (path.name, g)
+                normal += 1
+    assert normal == 310  # conn7.g6 300, conn7_sample.g6 10
 
 
 @given(connected_nonbipartite_graphs(max_d=6))
