@@ -266,9 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.source:
         sources = {f"source {args.source}": (g for _, g in _load_graphs(args.source, "graph6"))}
     elif not 1 <= args.max_vertices <= 7:  # 2^(N choose 2) labelled graphs at N
-        print("error: --max-vertices must be 1..7; sweep larger graphs with --source",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ParseError("--max-vertices must be 1..7; sweep larger graphs with --source")
     else:
         sources = {f"d={d}": labelled_graphs(d) for d in range(1, args.max_vertices + 1)}
     total = SweepSummary()
@@ -298,8 +296,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except UnsupportedError:
         raise  # above the vertex bound: exit 3 from main
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ParseError(str(exc)) from None
     text = serialize_edge_list(g)
     if args.out:
         Path(args.out).write_text(text)

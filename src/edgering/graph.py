@@ -26,7 +26,7 @@ VertexSet = int
 
 
 class ParseError(ValueError):
-    """Malformed edge-list or graph6 input."""
+    """Malformed input or bad parameters."""
 
 
 class UnsupportedError(ValueError):
@@ -147,7 +147,6 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"line 1: edge count must be nonnegative, got {header[1]}")
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    ln = 1
     for ln, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if not tokens:

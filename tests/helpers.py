@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -344,18 +345,34 @@ def sparse_random_graphs() -> list[Graph]:
     ]
 
 
+def record_calls(monkeypatch, fn, record=lambda *a, **k: a, owners=None) -> list:
+    """The list to which each call of fn appends record(*args, **kwargs),
+    until monkeypatch is undone.
+
+    fn is wrapped where each of owners binds it by its name, by default at
+    every edgering module that does.
+    """
+    name = fn.__name__
+    if owners is None:
+        owners = [m for n, m in list(sys.modules.items())
+                  if n.startswith("edgering") and getattr(m, name, None) is fn]
+    assert owners, f"no module binds {name}"
+    calls: list = []
+
+    def recorded(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def count_rest_floods(monkeypatch) -> list[int]:
     """The list into which every flood that facets.py runs records
     its vertex set, until monkeypatch is undone."""
-    floods: list[int] = []
-    original = edgering.facets.first_component
-
-    def counted(g, within, odd_cycle):
-        floods.append(within)
-        return original(g, within, odd_cycle)
-
-    monkeypatch.setattr(edgering.facets, "first_component", counted)
-    return floods
+    return record_calls(monkeypatch, first_component, lambda g, within, odd_cycle: within,
+                        [edgering.facets])
 
 
 # hypothesis strategies

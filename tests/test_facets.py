@@ -49,6 +49,7 @@ from helpers import (
     independent_set_scan_fundamental_sets,
     random_connected_nonbipartite,
     random_graph,
+    record_calls,
     reference_fundamental_search,
     search_nodes,
     sparse_random_graphs,
@@ -475,14 +476,7 @@ def test_facet_forms_rejects_like_facets():
 def test_facet_forms_take_n_of_t_from_the_walk(monkeypatch, g):
     # facets.py computes neighborhoods once per vertex, for the search's
     # shared-neighbour table; each form reads its N off the walk's pair
-    calls: list[int] = []
-    original = edgering.facets.neighborhood
-
-    def counted(g, t):
-        calls.append(t)
-        return original(g, t)
-
-    monkeypatch.setattr(edgering.facets, "neighborhood", counted)
+    calls = record_calls(monkeypatch, neighborhood, owners=[edgering.facets])
     forms = facet_forms(g, facet_walk(g))
     assert len(calls) == g.d
     assert any(isinstance(f, Fundamental) for f, _ in forms)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import edgering.serre
 from edgering import (
     ClassificationReport,
     Fundamental,
@@ -15,11 +16,13 @@ from edgering import (
     classify,
     complete_bipartite_graph,
     complete_graph,
+    connected_within,
     cycle_graph,
     descriptor,
     facet_conditions,
     facet_connectivity_holds,
     facet_walk,
+    first_component,
     is_bipartite,
     is_connected,
     iter_fundamental_sets,
@@ -42,6 +45,7 @@ from helpers import (
     pair_loop_odd_cycle_condition,
     random_connected_nonbipartite,
     random_graph,
+    record_calls,
     sparse_connected_nonbipartite_graphs,
     sparse_random_graphs,
     subset_scan_chordless_odd_cycles,
@@ -301,20 +305,6 @@ def test_the_floor_keeps_a_rest_of_exactly_six_vertices():
     assert list(iter_fundamental_sets(g, True)) == [(vset([1]), vset([2]), False)]
 
 
-def _count_serre_floods(monkeypatch) -> list[int]:
-    import edgering.serre
-
-    calls: list[int] = []
-    original = edgering.serre.connected_within
-
-    def counted(g, s):
-        calls.append(s)
-        return original(g, s)
-
-    monkeypatch.setattr(edgering.serre, "connected_within", counted)
-    return calls
-
-
 @pytest.mark.parametrize("g", [
     pytest.param(bridge_graph(1), id="bridge-1"),
     pytest.param(bridge_graph(8), id="bridge-8"),
@@ -325,10 +315,31 @@ def test_r1_runs_no_flood_of_its_own(monkeypatch, g):
     # so the criterion never runs the connectivity test again, at a regular
     # vertex or a fundamental set, whether or not (R1) fails
     assert is_connected(g) and not is_bipartite(g) and regular_vertices(g)
-    calls = _count_serre_floods(monkeypatch)
+    calls = record_calls(monkeypatch, connected_within, owners=[edgering.serre])
     satisfies_r1(g)
     satisfies_r1(g, early_exit=True)
     assert calls == []
+
+
+GRID_8X8 = Graph(64, tuple((v, v + 1) for v in range(1, 65) if v % 8)
+                 + tuple((v, v + 8) for v in range(1, 57)))
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(complete_bipartite_graph(32, 32), id="K32,32"),
+    pytest.param(GRID_8X8, id="grid-8x8"),
+])
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_r1_answers_a_bipartite_graph_without_a_walk(monkeypatch, g, early_exit):
+    # no program path asks the criterion about a bipartite graph, and its
+    # walk runs for more than 20 s on these two; the stubs fail at once
+    def walked(*args):
+        raise AssertionError("(R1) walk on a bipartite graph")
+
+    monkeypatch.setattr(edgering.serre, "regular_vertices", walked)
+    monkeypatch.setattr(edgering.serre, "iter_fundamental_sets", walked)
+    assert is_bipartite(g)
+    assert satisfies_r1(g, early_exit=early_exit) == (True, [])
 
 
 # ---------------------------------------------------------------------------
@@ -393,39 +404,12 @@ def test_classify_runs_no_r1_search_on_a_normal_graph(g, early_exit, monkeypatch
 
 @pytest.mark.parametrize("early_exit", [False, True])
 def test_classify_runs_the_r1_search_once_when_not_normal(early_exit, monkeypatch):
-    import edgering.serre
-
-    calls = []
-    original = edgering.serre.satisfies_r1
-
-    def counted(h, early_exit=False):
-        calls.append((h, early_exit))
-        return original(h, early_exit=early_exit)
-
-    monkeypatch.setattr(edgering.serre, "satisfies_r1", counted)
+    calls = record_calls(monkeypatch, satisfies_r1, lambda h, early_exit=False: (h, early_exit),
+                         [edgering.serre])
     g = bridge_graph(2)
     report = classify(g, early_exit=early_exit)
     assert calls == [(g, early_exit)]
     assert not report.normal and report.r1
-
-
-def _count_whole_graph_floods(monkeypatch, g: Graph) -> list[bool]:
-    # every module that binds first_component by name gets the counted flood
-    import sys
-
-    import edgering.graph
-
-    calls: list[bool] = []
-    original = edgering.graph.first_component
-
-    def counted(h, within, odd_cycle):
-        calls.append(within == g.full)
-        return original(h, within, odd_cycle)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("edgering") and getattr(module, "first_component", None) is original:
-            monkeypatch.setattr(module, "first_component", counted)
-    return calls
 
 
 @pytest.mark.parametrize("g, floods", [
@@ -440,7 +424,7 @@ def test_classify_floods_the_whole_graph_once_when_normal(monkeypatch, g, floods
     # classify's require_connected floods the whole graph; a graph that is not
     # normal floods it once more in satisfies_r1's own require_connected
     assert classify(g).normal == (floods == 1)
-    calls = _count_whole_graph_floods(monkeypatch, g)
+    calls = record_calls(monkeypatch, first_component, lambda h, within, odd_cycle: within == g.full)
     for early_exit in (False, True):
         calls.clear()
         classify(g, early_exit=early_exit)
@@ -458,11 +442,6 @@ def test_classify_bridge1(bridge1):
 
 def test_classify_is_deterministic(bridge2):
     assert classify(bridge2) == classify(bridge2)
-
-
-def test_classify_requires_connected():
-    with pytest.raises(ValueError, match="not connected"):
-        classify(Graph(2, ()))
 
 
 def test_classify_refuses_disconnected_as_unsupported():

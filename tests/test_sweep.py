@@ -1,6 +1,5 @@
 import json
 import random
-from collections import Counter
 
 import networkx as nx
 import pytest
@@ -21,20 +20,25 @@ from edgering import (
     bridge_graph,
     connected_within,
     cross_check,
+    facet_connectivity_holds,
     facet_walk,
     is_bipartite,
     is_connected,
+    iter_fundamental_sets,
     labelled_graphs,
+    monoid_group,
+    neighborhood,
     oracle_r1,
     parse_graph6,
     r1_violations,
+    regular_vertices,
     run_sweep,
     satisfies_odd_cycle_condition,
     satisfies_r1,
     serialize_graph6,
 )
 from edgering.cli import main
-from helpers import nx_graph, random_connected_nonbipartite
+from helpers import nx_graph, random_connected_nonbipartite, record_calls
 
 
 def test_cross_check_clean_on_exhibits(bridge2, bridge1):
@@ -96,16 +100,7 @@ def test_run_sweep_counts_match_networkx():
 
 
 def test_run_sweep_checks_only_connected_nonbipartite(monkeypatch):
-    import edgering.sweep
-
-    seen = []
-    original = edgering.sweep.cross_check
-
-    def recorded(g):
-        seen.append(g)
-        return original(g)
-
-    monkeypatch.setattr(edgering.sweep, "cross_check", recorded)
+    seen = record_calls(monkeypatch, cross_check, lambda g: g, [edgering.sweep])
     summary = run_sweep(labelled_graphs(4))
     assert len(seen) == summary.checked == 19
     assert all(is_connected(g) and not is_bipartite(g) for g in seen)
@@ -161,54 +156,13 @@ def test_monoid_group_failure_is_tagged_not_raised(even_sum_identity_fails, brid
     assert all("monoid-group" in cc.failures for cc in summary.disagreements)
 
 
-def _count_monoid_group_calls(monkeypatch) -> list:
-    # every import site of monoid_group records the graphs it certifies
-    import edgering.cli
-    import edgering.oracle
-    import edgering.sweep
-
-    calls = []
-    original = edgering.oracle.monoid_group
-
-    def counted(g):
-        calls.append(g)
-        return original(g)
-
-    for module in (edgering.cli, edgering.oracle, edgering.sweep):
-        monkeypatch.setattr(module, "monoid_group", counted)
-    return calls
-
-
 def test_cross_check_builds_monoid_group_once(monkeypatch):
     # condition 2 reads the kernel in closed form, which holds for the even-sum
     # group only; cross_check certifies it once, and facet_conditions never does
-    calls = _count_monoid_group_calls(monkeypatch)
+    calls = record_calls(monkeypatch, monoid_group, lambda g: g)
     g = bridge_graph(2)
     assert cross_check(g).failures == ()
     assert calls == [g]
-
-
-def _count_facet_walks(monkeypatch) -> Counter:
-    # every import site of the two facet enumerations and of the per-facet
-    # connectivity test counts its calls, and so does facets.py's neighborhood
-    counts: Counter = Counter()
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("iter_fundamental_sets", "regular_vertices"):
-        wrapper = counted(name, getattr(edgering.facets, name))
-        for module in (edgering.facets, edgering.serre):
-            monkeypatch.setattr(module, name, wrapper)
-    wrapper = counted("facet_connectivity_holds", edgering.serre.facet_connectivity_holds)
-    for module in (edgering.serre, edgering.sweep):
-        monkeypatch.setattr(module, "facet_connectivity_holds", wrapper)
-    monkeypatch.setattr(edgering.facets, "neighborhood", counted("neighborhood", edgering.facets.neighborhood))
-    return counts
 
 
 def test_cross_check_and_oracle_walk_the_facets_once(monkeypatch, capsys):
@@ -228,39 +182,33 @@ def test_cross_check_and_oracle_walk_the_facets_once(monkeypatch, capsys):
         "neighborhood": sum(g.d for g in graphs),
     }
     assert walks["neighborhood"] == 140
-    counts = _count_facet_walks(monkeypatch)
+    # every import site of the two facet enumerations and of the per-facet
+    # connectivity test records its calls, and so does facets.py's neighborhood
+    calls = {fn.__name__: record_calls(monkeypatch, fn)
+             for fn in (iter_fundamental_sets, regular_vertices, facet_connectivity_holds)}
+    calls["neighborhood"] = record_calls(monkeypatch, neighborhood, owners=[edgering.facets])
     assert all(cross_check(g).failures == () for g in graphs)
-    assert counts == {**walks, "facet_connectivity_holds": records}
-    counts.clear()
+    assert {name: len(c) for name, c in calls.items()} == {**walks, "facet_connectivity_holds": records}
+    for c in calls.values():
+        c.clear()
     assert main(["oracle", str(path)]) == 0
     capsys.readouterr()
-    assert counts == walks
+    assert {name: len(c) for name, c in calls.items()} == {**walks, "facet_connectivity_holds": 0}
 
 
 def test_cross_check_takes_one_pivot_product_per_lattice(monkeypatch):
     # a lattice never changes after construction, so its pivot product is
     # computed once there, however often the oracle's checks read it
-    counts: Counter = Counter()
-    product, init = edgering.lattice.prod, IntegerLattice.__init__
-
-    def counted_product(*args):
-        counts["prod"] += 1
-        return product(*args)
-
-    def counted_init(lat, *args):
-        counts["init"] += 1
-        init(lat, *args)
-
-    monkeypatch.setattr(edgering.lattice, "prod", counted_product)
-    monkeypatch.setattr(IntegerLattice, "__init__", counted_init)
+    products = record_calls(monkeypatch, edgering.lattice.prod, owners=[edgering.lattice])
+    inits = record_calls(monkeypatch, IntegerLattice.__init__, owners=[IntegerLattice])
     graphs = parse_graph6((DATA_DIR / "conn7_sample.g6").read_text())
     assert all(cross_check(g).failures == () for g in graphs)
-    assert counts == {"prod": 301, "init": 301}
+    assert (len(products), len(inits)) == (301, 301)
 
 
 def test_oracle_paths_certify_the_group_once(monkeypatch, capsys, tmp_path):
     # oracle_r1 and the CLI's oracle certify the group once per graph too
-    calls = _count_monoid_group_calls(monkeypatch)
+    calls = record_calls(monkeypatch, monoid_group, lambda g: g)
     g = bridge_graph(2)
     assert oracle_r1(g) == (True, [])
     assert calls == [g]
