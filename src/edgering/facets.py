@@ -17,8 +17,9 @@ records carry the pair as their sides.  The supporting form is the sum over
 N minus the sum over T, halved when T and N exhaust the vertices.
 
 iter_fundamental_sets(g, True) is the (R1) search: it yields only the
-fundamental sets whose rest is disconnected, and never pushes a search child
-whose rest has fewer than R1_REST_FLOOR vertices (the lemma stands beside it).
+fundamental sets whose rest is disconnected, never pushes a search child whose
+rest has fewer than R1_REST_FLOOR vertices, and extends no node whose rest is
+at that floor (the lemma and its corollary stand beside the constant).
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def regular_vertices(g: Graph) -> list[Facet]:
 # Every component of a fundamental set's rest V - (T | N(T)) has an odd cycle, so
 # at least three vertices, and a rest that fails (R1) has two or more: a
 # failing fundamental set's rest has at least this many vertices.  T and N(T) are
-# nonempty, so a rest has at most d - 2 vertices: no fundamental set fails when d <= 7
+# nonempty, so a rest has at most d - 2 vertices: no fundamental set fails when d <= 7.
+# A child's rest loses at least the child's new vertex, so a node at the floor extends nothing
 R1_REST_FLOOR = 6
 
 
@@ -120,7 +122,8 @@ def iter_fundamental_sets(g: Graph, r1_search: bool = False) -> Iterator[Facet]:
     A child whose rest has fewer than R1_REST_FLOOR vertices (the lemma stands
     beside the constant) is never pushed, since a child's rest is a subset of
     its parent's, and a popped node is kept only when the flood that finds it
-    fundamental finds its rest disconnected.
+    fundamental finds its rest disconnected.  A child whose rest is exactly at
+    the floor gets no extension, so with a bipartite piece it is dead.
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
@@ -145,8 +148,8 @@ def iter_fundamental_sets(g: Graph, r1_search: bool = False) -> Iterator[Facet]:
                 ext ^= w
                 i = w.bit_length() - 1
                 child_rest = rest & ~closed[i]
-                if child_rest.bit_count() >= floor:
-                    child_ext = (ext | share[i] & above & ~reached) & child_rest
+                if (room := child_rest.bit_count() - floor) >= 0:
+                    child_ext = (ext | share[i] & above & ~reached) & child_rest if room else 0
                     child_bad = bad & child_rest
                     if child_ext or not child_bad:
                         stack.append((t | w, child_ext, reached | share[i], child_rest, child_bad))

@@ -228,10 +228,12 @@ def reference_fundamental_search(g: Graph, min_rest: int = 0) -> tuple[list, lis
     (its items, its nodes in pop order as (T, dead)).
 
     A frame carries N(T), and every child above the floor is pushed.  A node
-    is dead when it inherits a bipartite rest piece and has no extension: it
-    is not fundamental and has no children.  iter_fundamental_sets pushes no
-    dead child, so it must yield these items and pop the nodes that are not
-    dead; the node counts it is pinned to are read off this search.
+    is dead when it inherits a bipartite rest piece and either has no
+    extension or has a rest of exactly min_rest vertices, whose children all
+    fall below the floor: it is not fundamental and has no children.
+    iter_fundamental_sets pushes no dead child, so it must yield these items
+    and pop the nodes that are not dead; the node counts it is pinned to are
+    read off this search.
     """
     adj, full = g.adj, g.full
     share = [neighborhood(g, a) & ~(1 << i) for i, a in enumerate(adj)]
@@ -246,7 +248,7 @@ def reference_fundamental_search(g: Graph, min_rest: int = 0) -> tuple[list, lis
         stack = [(root, adj[r], share[r] & above & rest, root | share[r], rest, 0)]
         while stack:
             t, nb, ext, reached, rest, bad = stack.pop()
-            nodes.append((t, bool(bad) and not ext))
+            nodes.append((t, bool(bad) and (not ext or rest.bit_count() == min_rest)))
             if not bad:
                 bad, lowest = first_component(g, rest, False)
                 if not bad:

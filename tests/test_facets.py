@@ -577,7 +577,7 @@ def test_the_floor_filters_the_full_walk_in_order(g):
 
 
 # pops of iter_fundamental_sets(bridge_graph(k), True), read off the floored reference search
-FLOORED_POPS = {6: 99, 7: 263, 8: 643, 9: 1507, 10: 3403}
+FLOORED_POPS = {6: 54, 7: 177, 8: 416, 9: 1055, 10: 2558}
 
 
 @pytest.mark.parametrize("k", range(6, 11))
@@ -595,3 +595,16 @@ def test_the_floor_skips_whole_subtrees(monkeypatch, k):
     assert sorted(t for t, _ in floored) == reached
     pops = esu_work(monkeypatch, g, True)[1]
     assert pops == sum(not dead for _, dead in floored) == FLOORED_POPS[k] < 9 * 2 ** (k - 1) + 11
+
+
+# floods of iter_fundamental_sets(bridge_graph(k), True): 13k - 24 from k = 7
+FLOORED_FLOODS = {6: 34, 7: 67, 8: 80, 9: 93, 10: 106}
+
+
+@pytest.mark.parametrize("k", range(6, 11))
+def test_the_floor_drops_only_nodes_that_never_flood(monkeypatch, k):
+    # a node whose rest is at the floor extends nothing, and one that inherits
+    # a bipartite rest piece is never flooded, so leaving such a node off the
+    # stack keeps every flood; a prune that lost a bipartite piece would flood
+    # more rests and raise these counts
+    assert esu_work(monkeypatch, bridge_graph(k), True)[0] == FLOORED_FLOODS[k]
