@@ -7,12 +7,13 @@ where a regular vertex i is (empty set, {i}) and a fundamental set T is
 that found the facet, and r1_violations reads that flag in a walk;
 facet_connectivity_holds tests one facet on its own, given its sides (T, N).
 
-satisfies_r1 walks the regular vertices and the (R1) search of facets.py,
-iter_fundamental_sets(g, True), which yields only the fundamental sets whose
-rest is disconnected and pushes no child whose rest has fewer than
-facets.R1_REST_FLOOR vertices: the lemma beside that constant says why.  Both
-searches push no child that keeps a bipartite piece of its parent's rest and
-cannot grow: it is neither fundamental nor a parent.
+satisfies_r1 and classify each gate, by their own flood, one core that walks
+the regular vertices and the (R1) search iter_fundamental_sets(g, True), which
+yields only the fundamental sets whose rest is disconnected and pushes no
+child whose rest has fewer than facets.R1_REST_FLOOR vertices (the lemma
+beside that constant says why).  Both searches push no child that keeps a
+bipartite piece of its parent's rest and cannot grow: it is neither
+fundamental nor a parent.
 
 Normality is the odd cycle condition: every two vertex-disjoint chordless
 odd cycles are joined by an edge.  Normal implies (R1), and for a bipartite
@@ -74,21 +75,20 @@ def r1_violations(walk: Iterable[Facet]) -> Iterator[FacetDescriptor]:
     return (descriptor(t, nb) for t, nb, connected in walk if not connected)
 
 
-def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[FacetDescriptor]]:
-    """Decide (R1) for the edge ring of a connected graph.
-
-    Returns (verdict, violations) where the violations are the facet
-    descriptors whose connectivity condition fails: regular vertices by
-    label, then fundamental sets in lexicographic order.  Bipartite graphs
-    are normal and pass with no violations.
-    With early_exit the lazy walk stops at the first violation.  Its
-    fundamental sets come from the (R1) search, which yields only the failing
-    ones and is floored at facets.R1_REST_FLOOR (the lemma stands there).
-    """
-    if not require_connected(g):
-        return (True, [])
+def _r1_search(g: Graph, early_exit: bool) -> list[FacetDescriptor]:
+    """The (R1) violations of a connected graph with an odd cycle: regular vertices
+    by label, then fundamental sets in lexicographic order; with early_exit the
+    lazy walk stops at the first.  Its fundamental sets come from the (R1) search,
+    which yields only the failing ones and is floored at facets.R1_REST_FLOOR."""
     walk = chain(regular_vertices(g), iter_fundamental_sets(g, True))
-    violations = list(islice(r1_violations(walk), 1 if early_exit else None))
+    return list(islice(r1_violations(walk), 1 if early_exit else None))
+
+
+def satisfies_r1(g: Graph, *, early_exit: bool = False) -> tuple[bool, list[FacetDescriptor]]:
+    """Decide (R1) for the edge ring of a connected graph: (verdict, violations),
+    the facet descriptors that fail, from _r1_search.  A bipartite graph passes unwalked.
+    """
+    violations = _r1_search(g, early_exit) if require_connected(g) else []
     return (not violations, violations)
 
 
@@ -114,5 +114,5 @@ def classify(g: Graph, *, early_exit: bool = False) -> ClassificationReport:
     """Full report for a connected graph: normality, then (R1) if not normal, and witnesses."""
     bipartite = not require_connected(g)
     occ = None if bipartite else satisfies_odd_cycle_condition(g)
-    ok, violations = (True, []) if occ is None else satisfies_r1(g, early_exit=early_exit)
-    return ClassificationReport(bipartite, ok, tuple(violations), occ)
+    violations = [] if occ is None else _r1_search(g, early_exit)
+    return ClassificationReport(bipartite, not violations, tuple(violations), occ)

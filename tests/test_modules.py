@@ -170,8 +170,9 @@ def test_only_satisfies_r1_floors_the_fundamental_set_search():
     # the (R1) search, iter_fundamental_sets(g, True), yields only the fundamental
     # sets that fail (R1); facet_walk, and through it the oracle and the sweep,
     # need every facet.  The flag is the search's one optional parameter, and
-    # satisfies_r1 alone passes it, as the constant True, to the search by its
-    # module global, which the tracer wraps
+    # satisfies_r1's core, serre._r1_search, alone passes it, as the constant
+    # True, to the search by its module global, which the tracer wraps.
+    # classify gates that core itself, so it never names satisfies_r1
     calls = []
 
     def visit(node, scope):
@@ -187,7 +188,8 @@ def test_only_satisfies_r1_floors_the_fundamental_set_search():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert ("facets.facet_walk", "Name", []) in calls  # the scan sees the full walk
-    assert [call for call in calls if call[2]] == [("serre.satisfies_r1", "Name", ["True"])]
+    assert [call for call in calls if call[2]] == [("serre._r1_search", "Name", ["True"])]
+    assert "serre.classify" not in _scopes_naming(PACKAGE_DIR / "serre.py", {"satisfies_r1"})
     params = list(inspect.signature(edgering.iter_fundamental_sets).parameters.values())
     assert [(p.kind, p.default) for p in params[1:]] == [(inspect.Parameter.POSITIONAL_OR_KEYWORD, False)]
 

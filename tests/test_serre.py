@@ -394,17 +394,17 @@ def test_classify_normal_nonbipartite():
 def test_classify_runs_no_r1_search_on_a_normal_graph(g, early_exit, monkeypatch):
     # normal implies (R1), so the report needs no search; the tests below
     # check that the criterion agrees on the graphs that it skips
-    def searched(h, early_exit=False):
+    def searched(h, early_exit):
         raise AssertionError("(R1) search on a normal graph")
 
-    monkeypatch.setattr("edgering.serre.satisfies_r1", searched)
+    monkeypatch.setattr("edgering.serre._r1_search", searched)
     report = classify(g, early_exit=early_exit)
     assert report.normal and report.r1 and report.r1_violations == ()
 
 
 @pytest.mark.parametrize("early_exit", [False, True])
 def test_classify_runs_the_r1_search_once_when_not_normal(early_exit, monkeypatch):
-    calls = record_calls(monkeypatch, satisfies_r1, lambda h, early_exit=False: (h, early_exit),
+    calls = record_calls(monkeypatch, edgering.serre._r1_search, lambda h, early_exit: (h, early_exit),
                          [edgering.serre])
     g = bridge_graph(2)
     report = classify(g, early_exit=early_exit)
@@ -412,23 +412,24 @@ def test_classify_runs_the_r1_search_once_when_not_normal(early_exit, monkeypatc
     assert not report.normal and report.r1
 
 
-@pytest.mark.parametrize("g, floods", [
-    pytest.param(complete_graph(4), 1, id="K4"),
-    pytest.param(complete_bipartite_graph(2, 3), 1, id="K23"),
-    pytest.param(cycle_graph(5), 1, id="C5"),
-    pytest.param(bridge_graph(1), 2, id="bridge-1"),
-    pytest.param(bridge_graph(8), 2, id="bridge-8"),
-    pytest.param(random_graph(random.Random("r1-work-18"), 18, 0.3), 2, id="gnp-18-0.3"),
+@pytest.mark.parametrize("g, normal", [
+    pytest.param(complete_graph(4), True, id="K4"),
+    pytest.param(complete_bipartite_graph(2, 3), True, id="K23"),
+    pytest.param(cycle_graph(5), True, id="C5"),
+    pytest.param(bridge_graph(1), False, id="bridge-1"),
+    pytest.param(bridge_graph(8), False, id="bridge-8"),
+    pytest.param(random_graph(random.Random("r1-work-18"), 18, 0.3), False, id="gnp-18-0.3"),
 ])
-def test_classify_floods_the_whole_graph_once_when_normal(monkeypatch, g, floods):
-    # classify's require_connected floods the whole graph; a graph that is not
-    # normal floods it once more in satisfies_r1's own require_connected
-    assert classify(g).normal == (floods == 1)
+def test_classify_floods_the_whole_graph_once(monkeypatch, g, normal):
+    # classify's require_connected floods the whole graph, and a graph that is
+    # not normal has an odd cycle, so the (R1) core searches it with no gate
+    # of its own: one whole-graph flood, normal or not
+    assert classify(g).normal == normal
     calls = record_calls(monkeypatch, first_component, lambda h, within, odd_cycle: within == g.full)
     for early_exit in (False, True):
         calls.clear()
         classify(g, early_exit=early_exit)
-        assert sum(calls) == floods
+        assert sum(calls) == 1
 
 
 def test_classify_bridge1(bridge1):
@@ -474,6 +475,32 @@ def test_normal_implies_r1_on_the_corpora():
                 assert satisfies_r1(g) == (True, []), (path.name, g)
                 normal += 1
     assert normal == 310  # conn7.g6 300, conn7_sample.g6 10
+
+
+def assert_classify_agrees_with_satisfies_r1(g: Graph) -> None:
+    # classify and satisfies_r1 each gate the (R1) core with their own flood
+    # and neither calls the other, so their answers are checked side by side
+    for early_exit in (False, True):
+        report = classify(g, early_exit=early_exit)
+        ok, violations = satisfies_r1(g, early_exit=early_exit)
+        assert report.r1 == ok, (g, early_exit)
+        assert report.r1_violations == tuple(violations), (g, early_exit)
+
+
+@given(sparse_connected_nonbipartite_graphs())
+@settings(max_examples=100, deadline=None)
+def test_classify_agrees_with_satisfies_r1_on_sparse_draws(g):
+    assert_classify_agrees_with_satisfies_r1(g)
+
+
+def test_classify_agrees_with_satisfies_r1_on_the_corpora():
+    not_normal = 0
+    for path in sorted(DATA_DIR.glob("*.g6")):
+        for g in parse_graph6(path.read_text()):
+            if satisfies_odd_cycle_condition(g) is not None:
+                assert_classify_agrees_with_satisfies_r1(g)
+                not_normal += 1
+    assert not_normal == 67  # bridge_k7_10 4, conn7 50, conn7_sample 10, gnp_d18_20_22 3
 
 
 @given(connected_nonbipartite_graphs(max_d=6))
